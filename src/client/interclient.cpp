@@ -48,31 +48,33 @@ void MapOutputServer::offer(const std::string& name, mr::FilePayload payload) {
     registry_.add(ep_, this);
     registered_ = true;
   }
-  Entry& e = files_[name];
-  sim_.cancel(e.timeout);
-  e.payload = std::move(payload);
-  arm_timeout(name, SimTime::zero());
+  const auto it = files_.try_emplace(name).first;
+  sim_.cancel(it->second.timeout);
+  it->second.payload = std::move(payload);
+  arm_timeout(it, SimTime::zero());
 }
 
-void MapOutputServer::arm_timeout(const std::string& name, SimTime horizon) {
-  Entry& e = files_.at(name);
+void MapOutputServer::arm_timeout(Files::iterator it, SimTime horizon) {
   const SimTime window = std::max(cfg_.serve_timeout, horizon);
-  e.timeout = sim_.after(window, [this, name] {
-    log_.debug("serve timeout for ", name, "; withdrawing");
-    withdraw(name);
+  it->second.timeout = sim_.after(window, [this, it] {
+    log_.debug("serve timeout for ", it->first, "; withdrawing");
+    erase(it);
   });
 }
 
 void MapOutputServer::reset_timeouts(SimTime horizon) {
-  for (auto& [name, e] : files_) {
-    sim_.cancel(e.timeout);
-    arm_timeout(name, horizon);
+  for (auto it = files_.begin(); it != files_.end(); ++it) {
+    sim_.cancel(it->second.timeout);
+    arm_timeout(it, horizon);
   }
 }
 
 void MapOutputServer::withdraw(const std::string& name) {
   const auto it = files_.find(name);
-  if (it == files_.end()) return;
+  if (it != files_.end()) erase(it);
+}
+
+void MapOutputServer::erase(Files::iterator it) {
   sim_.cancel(it->second.timeout);
   files_.erase(it);
   if (files_.empty() && registered_) {
@@ -111,7 +113,7 @@ bool MapOutputServer::start_serving(
   ++active_;
   // Activity resets the file's timeout.
   sim_.cancel(it->second.timeout);
-  arm_timeout(name, SimTime::zero());
+  arm_timeout(it, SimTime::zero());
 
   const mr::FilePayload payload = it->second.payload;
   net::FlowSpec fs;

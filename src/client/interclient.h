@@ -100,7 +100,16 @@ class MapOutputServer {
                      std::function<void(net::NetError)> on_fail);
 
  private:
-  void arm_timeout(const std::string& name, SimTime horizon);
+  struct Entry {
+    mr::FilePayload payload;
+    sim::EventHandle timeout;
+  };
+  using Files = std::map<std::string, Entry>;
+
+  /// (Re)arms the entry's timeout. The event holds the iterator: withdraw()
+  /// and offer() cancel the timeout before they erase or replace the entry.
+  void arm_timeout(Files::iterator it, SimTime horizon);
+  void erase(Files::iterator it);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -108,11 +117,7 @@ class MapOutputServer {
   net::Endpoint ep_;
   PeerRegistry& registry_;
   MapOutputServerConfig cfg_;
-  struct Entry {
-    mr::FilePayload payload;
-    sim::EventHandle timeout;
-  };
-  std::map<std::string, Entry> files_;
+  Files files_;
   int active_ = 0;
   bool registered_ = false;
   ServeStats stats_;

@@ -32,6 +32,7 @@ NodeId Network::add_node(const NodeConfig& cfg) {
   require(n.cfg.up_bps > 0 && n.cfg.down_bps > 0,
           "Network::add_node: capacities must be positive");
   nodes_.push_back(std::move(n));
+  links_.resize(2 * nodes_.size());
   return id;
 }
 
@@ -65,7 +66,7 @@ void Network::set_link_scale(NodeId id, double scale) {
   Node& n = node(id);
   if (n.link_scale == scale) return;
   n.link_scale = scale;
-  reallocate({up_key(id), down_key(id)});
+  reallocate(Resources{{up_key(id), down_key(id)}, 2});
 }
 
 double Network::link_scale(NodeId id) const { return node(id).link_scale; }
@@ -98,32 +99,46 @@ const NodeTraffic& Network::traffic(NodeId id) const {
   return node(id).traffic;
 }
 
-std::vector<std::int64_t> Network::resources_of(const Flow& f) const {
-  std::vector<std::int64_t> r{up_key(f.spec.src), down_key(f.spec.dst)};
-  if (f.spec.relay) {
-    r.push_back(down_key(*f.spec.relay));
-    r.push_back(up_key(*f.spec.relay));
-  }
-  return r;
-}
-
 double Network::resource_capacity(std::int64_t key) const {
   const NodeId id{key >= 0 ? key : -key - 1};
   const Node& n = node(id);
   return (key >= 0 ? n.cfg.up_bps : n.cfg.down_bps) * n.link_scale;
 }
 
-void Network::index_flow(FlowId id, const Flow& f) {
-  for (const auto r : resources_of(f)) flows_by_resource_[r].insert(id);
+void Network::index_flow(Flow& f) {
+  const Resources& rs = f.resources;
+  for (std::size_t i = 0; i < rs.size; ++i) {
+    if (rs.repeats(i)) continue;  // relay == src or dst: listed once
+    Link& l = link(rs.keys[i]);
+    f.next[i] = l.head;
+    if (l.head) l.head->prev[l.head->resources.slot_of(rs.keys[i])] = &f;
+    l.head = &f;
+  }
 }
 
-void Network::unindex_flow(FlowId id, const Flow& f) {
-  for (const auto r : resources_of(f)) {
-    const auto it = flows_by_resource_.find(r);
-    if (it == flows_by_resource_.end()) continue;
-    it->second.erase(id);
-    if (it->second.empty()) flows_by_resource_.erase(it);
+void Network::unindex_flow(Flow& f) {
+  const Resources& rs = f.resources;
+  for (std::size_t i = 0; i < rs.size; ++i) {
+    if (rs.repeats(i)) continue;
+    const std::int64_t key = rs.keys[i];
+    Flow* const prev = f.prev[i];
+    Flow* const next = f.next[i];
+    if (prev) {
+      prev->next[prev->resources.slot_of(key)] = next;
+    } else {
+      link(key).head = next;
+    }
+    if (next) next->prev[next->resources.slot_of(key)] = prev;
   }
+}
+
+std::uint32_t Network::next_generation() {
+  if (++generation_ == 0) {
+    for (Link& l : links_) l.seen = 0;
+    for (auto& [id, f] : flows_) f.seen = 0;
+    generation_ = 1;
+  }
+  return generation_;
 }
 
 FlowId Network::start_flow(FlowSpec spec) {
@@ -151,6 +166,15 @@ FlowId Network::start_flow(FlowSpec spec) {
 
   Flow f;
   f.spec = std::move(spec);
+  f.id = id;
+  f.resources.keys[0] = up_key(f.spec.src);
+  f.resources.keys[1] = down_key(f.spec.dst);
+  f.resources.size = 2;
+  if (f.spec.relay) {
+    f.resources.keys[2] = down_key(*f.spec.relay);
+    f.resources.keys[3] = up_key(*f.spec.relay);
+    f.resources.size = 4;
+  }
   f.anchor_time = sim_.now();
   if (flow_failure_rate_ > 0.0 &&
       f.spec.src != failure_exempt_ && f.spec.dst != failure_exempt_ &&
@@ -159,10 +183,9 @@ FlowId Network::start_flow(FlowSpec spec) {
     f.fail_after_bytes = static_cast<Bytes>(
         fail_rng_.uniform() * static_cast<double>(f.spec.bytes));
   }
-  const auto dirty = resources_of(f);
-  index_flow(id, f);
-  flows_.emplace(id, std::move(f));
-  reallocate(dirty);
+  Flow& added = flows_.emplace(id, std::move(f)).first->second;
+  index_flow(added);
+  reallocate(added.resources);
   return id;
 }
 
@@ -171,8 +194,8 @@ void Network::cancel_flow(FlowId id) {
   if (it == flows_.end()) return;
   settle(it->second);
   sim_.cancel(it->second.completion);
-  const auto dirty = resources_of(it->second);
-  unindex_flow(id, it->second);
+  const Resources dirty = it->second.resources;
+  unindex_flow(it->second);
   flows_.erase(it);
   reallocate(dirty);
 }
@@ -231,99 +254,137 @@ Network::Milestone Network::milestone_of(const Flow& f) {
   return {f.spec.bytes, false};
 }
 
-std::set<FlowId> Network::component_of(
-    const std::vector<std::int64_t>& dirty) const {
-  std::set<FlowId> comp;
-  std::set<std::int64_t> seen;
-  std::vector<std::int64_t> frontier;
+void Network::component_of(const Resources& dirty) {
+  const std::uint32_t gen = next_generation();
+  comp_.clear();
+  frontier_.clear();
   for (const auto r : dirty) {
-    if (seen.insert(r).second) frontier.push_back(r);
+    Link& l = link(r);
+    if (l.seen == gen) continue;
+    l.seen = gen;
+    frontier_.push_back(r);
   }
-  while (!frontier.empty()) {
-    const auto r = frontier.back();
-    frontier.pop_back();
-    const auto it = flows_by_resource_.find(r);
-    if (it == flows_by_resource_.end()) continue;
-    for (const FlowId id : it->second) {
-      if (!comp.insert(id).second) continue;
-      for (const auto r2 : resources_of(flows_.at(id))) {
-        if (seen.insert(r2).second) frontier.push_back(r2);
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const std::int64_t key = frontier_[head];
+    for (Flow* f = link(key).head; f != nullptr; f = next_on(*f, key)) {
+      if (f->seen == gen) continue;
+      f->seen = gen;
+      comp_.push_back(f);
+      for (const auto r : f->resources) {
+        Link& l = link(r);
+        if (l.seen == gen) continue;
+        l.seen = gen;
+        frontier_.push_back(r);
       }
     }
   }
-  return comp;
+  std::sort(comp_.begin(), comp_.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
 }
 
-std::map<FlowId, double> Network::level(const std::set<FlowId>& ids) const {
+void Network::level() {
   // Progressive filling, foreground first, background on the residue —
-  // identical arithmetic to the historical global pass, merely restricted
-  // to `ids` (iterated in flow-id order, resources in key order, so the
-  // per-resource operation sequence matches the global fill's exactly).
-  std::map<FlowId, double> rate;
-  std::map<std::int64_t, double> cap;  // remaining capacity per resource
-  for (const FlowId id : ids) {
-    rate[id] = 0.0;
-    for (const auto r : resources_of(flows_.at(id))) {
-      cap.emplace(r, resource_capacity(r));
+  // the arithmetic of the historical global pass, restricted to comp_.
+  // Resources get dense indices in ascending key order, so the bottleneck
+  // scan visits them in the order the global fill's key-ordered map did.
+  const std::uint32_t gen = next_generation();
+  res_keys_.clear();
+  for (const Flow* f : comp_) {
+    for (const auto r : f->resources) {
+      Link& l = link(r);
+      if (l.seen == gen) continue;
+      l.seen = gen;
+      res_keys_.push_back(r);
     }
   }
+  std::sort(res_keys_.begin(), res_keys_.end());
+  const std::size_t n_res = res_keys_.size();
+  cap_.resize(n_res);
+  for (std::size_t s = 0; s < n_res; ++s) {
+    link(res_keys_[s]).local = static_cast<std::uint32_t>(s);
+    cap_[s] = resource_capacity(res_keys_[s]);
+  }
+  rate_.assign(comp_.size(), 0.0);
 
   for (const FlowPriority cls :
        {FlowPriority::kForeground, FlowPriority::kBackground}) {
-    // Flows of this class still awaiting a rate.
-    std::map<FlowId, const Flow*> pending;
-    std::map<std::int64_t, int> users;  // resource -> #pending flows
-    for (const FlowId id : ids) {
-      const Flow& f = flows_.at(id);
+    // users_: crossings of each resource by this class's pending flows (a
+    // duplicated key counts twice). csr_: each resource's flows of this
+    // class, each listed once.
+    users_.assign(n_res, 0);
+    csr_off_.assign(n_res + 1, 0);
+    frozen_.assign(comp_.size(), 1);
+    std::size_t pending = 0;
+    for (std::size_t j = 0; j < comp_.size(); ++j) {
+      const Flow& f = *comp_[j];
       if (f.spec.priority != cls) continue;
-      pending.emplace(id, &f);
-      for (const auto r : resources_of(f)) ++users[r];
+      frozen_[j] = 0;
+      ++pending;
+      const Resources& rs = f.resources;
+      for (std::size_t i = 0; i < rs.size; ++i) {
+        const std::uint32_t s = link(rs.keys[i]).local;
+        ++users_[s];
+        if (!rs.repeats(i)) ++csr_off_[s];
+      }
     }
-    while (!pending.empty()) {
-      // Find the bottleneck: resource with the smallest fair share.
+    if (pending == 0) continue;
+    for (std::size_t s = 1; s <= n_res; ++s) csr_off_[s] += csr_off_[s - 1];
+    csr_.resize(csr_off_[n_res]);
+    for (std::size_t j = 0; j < comp_.size(); ++j) {
+      if (frozen_[j]) continue;
+      const Resources& rs = comp_[j]->resources;
+      for (std::size_t i = 0; i < rs.size; ++i) {
+        if (rs.repeats(i)) continue;
+        csr_[--csr_off_[link(rs.keys[i]).local]] = static_cast<std::uint32_t>(j);
+      }
+    }
+
+    while (pending > 0) {
+      // Find the bottleneck: resource with the smallest fair share; the
+      // strict `<` in key order hands ties to the lowest key.
       double best_share = std::numeric_limits<double>::infinity();
-      std::int64_t best_r = 0;
-      for (const auto& [r, n] : users) {
-        if (n <= 0) continue;
-        const double share = std::max(0.0, cap[r]) / n;
+      std::size_t best = 0;
+      for (std::size_t s = 0; s < n_res; ++s) {
+        if (users_[s] <= 0) continue;
+        const double share = std::max(0.0, cap_[s]) / users_[s];
         if (share < best_share) {
           best_share = share;
-          best_r = r;
+          best = s;
         }
       }
       if (!std::isfinite(best_share)) break;
       // Freeze every pending flow crossing the bottleneck at the fair share.
-      for (auto it = pending.begin(); it != pending.end();) {
-        const auto rs = resources_of(*it->second);
-        if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) {
-          ++it;
-          continue;
+      // Every subtraction this round is the same best_share, so the order
+      // the flows are visited in cannot change any capacity's bits.
+      for (std::uint32_t k = csr_off_[best]; k < csr_off_[best + 1]; ++k) {
+        const std::uint32_t j = csr_[k];
+        if (frozen_[j]) continue;
+        frozen_[j] = 1;
+        --pending;
+        rate_[j] = best_share;
+        for (const auto r : comp_[j]->resources) {
+          const std::uint32_t s = link(r).local;
+          cap_[s] -= best_share;
+          --users_[s];
         }
-        rate[it->first] = best_share;
-        for (const auto r : rs) {
-          cap[r] -= best_share;
-          --users[r];
-        }
-        it = pending.erase(it);
       }
     }
   }
-  return rate;
 }
 
-void Network::reallocate(const std::vector<std::int64_t>& dirty) {
+void Network::reallocate(const Resources& dirty) {
   // 1. The flows whose allocation can have changed: the connected component
   // around the dirty resources (everything in kGlobal mode).
-  std::set<FlowId> comp;
   if (alloc_mode_ == AllocMode::kGlobal) {
-    for (const auto& [id, f] : flows_) comp.insert(id);
+    comp_.clear();
+    for (auto& [id, f] : flows_) comp_.push_back(&f);
   } else {
-    comp = component_of(dirty);
+    component_of(dirty);
   }
 
-  if (!comp.empty()) {
+  if (!comp_.empty()) {
     // 2. Water-fill the component alone.
-    const std::map<FlowId, double> leveled = level(comp);
+    level();
 
     // 3. Apply. A flow whose rate comes out bit-identical keeps its anchor
     // and its scheduled completion event untouched; only actual rate
@@ -331,9 +392,9 @@ void Network::reallocate(const std::vector<std::int64_t>& dirty) {
     // superset but every extra flow's rate is unchanged by construction,
     // both modes perform the same mutations here.
     const SimTime now = sim_.now();
-    for (const FlowId id : comp) {
-      Flow& f = flows_.at(id);
-      double r = leveled.at(id);
+    for (std::size_t j = 0; j < comp_.size(); ++j) {
+      Flow& f = *comp_[j];
+      double r = rate_[j];
       if (r < 1e-3) {
         // Stalled (starved background class) or floating-point residue from
         // the water-filling subtraction; a sub-millibyte/s rate would also
@@ -352,7 +413,7 @@ void Network::reallocate(const std::vector<std::int64_t>& dirty) {
 
       const Milestone m = milestone_of(f);
       const Bytes left = m.target - f.done;
-      const FlowId fid = id;
+      const FlowId fid = f.id;
       if (left <= 0) {
         // Already past the milestone; fire now. milestone_of() never
         // reports an armed threshold at or past `done`, so this is always
@@ -363,29 +424,33 @@ void Network::reallocate(const std::vector<std::int64_t>& dirty) {
       }
       if (f.rate == 0.0) continue;
       const double secs = static_cast<double>(left) / f.rate;
-      const bool is_failure = m.is_failure;
-      f.completion =
-          sim_.at(now + SimTime::seconds(secs), [this, fid, is_failure] {
-            if (is_failure) {
-              fail_flow(fid, NetError::kInjectedFailure);
-            } else {
-              complete_flow(fid);
-            }
-          });
+      // Two words, so std::function stores the callback inline; the
+      // milestone is re-derived on firing, since neither `done` nor the
+      // failure threshold changes while the event is armed.
+      f.completion = sim_.at(now + SimTime::seconds(secs),
+                             [this, fid] { reach_milestone(fid); });
     }
   }
 
   if (check_alloc_) check_against_oracle();
 }
 
-void Network::check_against_oracle() const {
-  std::set<FlowId> all;
-  for (const auto& [id, f] : flows_) all.insert(id);
-  const std::map<FlowId, double> oracle = level(all);
-  for (const auto& [id, f] : flows_) {
-    double r = oracle.at(id);
+void Network::reach_milestone(FlowId id) {
+  if (milestone_of(flows_.at(id)).is_failure) {
+    fail_flow(id, NetError::kInjectedFailure);
+  } else {
+    complete_flow(id);
+  }
+}
+
+void Network::check_against_oracle() {
+  comp_.clear();
+  for (auto& [id, f] : flows_) comp_.push_back(&f);
+  level();
+  for (std::size_t j = 0; j < comp_.size(); ++j) {
+    double r = rate_[j];
     if (r < 1e-3) r = 0.0;
-    require(r == f.rate,
+    require(r == comp_[j]->rate,
             "VCMR_NET_CHECK_ALLOC: incremental allocation diverged from the "
             "global water-filling oracle");
   }
@@ -407,8 +472,8 @@ void Network::complete_flow(FlowId id) {
     f.done = f.spec.bytes;
   }
   auto cb = std::move(f.spec.on_complete);
-  const auto dirty = resources_of(f);
-  unindex_flow(id, f);
+  const Resources dirty = f.resources;
+  unindex_flow(f);
   flows_.erase(it);
   reallocate(dirty);
   if (cb) cb();
@@ -420,21 +485,24 @@ void Network::fail_flow(FlowId id, NetError err) {
   settle(it->second);
   auto cb = std::move(it->second.spec.on_fail);
   sim_.cancel(it->second.completion);
-  const auto dirty = resources_of(it->second);
-  unindex_flow(id, it->second);
+  const Resources dirty = it->second.resources;
+  unindex_flow(it->second);
   flows_.erase(it);
   reallocate(dirty);
   if (cb) cb(err);
 }
 
 void Network::fail_flows_touching(NodeId id) {
+  // A flow touches the node iff it is on the node's uplink (source or
+  // relay) or downlink (destination or relay).
   std::vector<FlowId> doomed;
-  for (const auto& [fid, f] : flows_) {
-    if (f.spec.src == id || f.spec.dst == id ||
-        (f.spec.relay && *f.spec.relay == id)) {
-      doomed.push_back(fid);
+  for (const auto key : {up_key(id), down_key(id)}) {
+    for (const Flow* f = link(key).head; f != nullptr; f = next_on(*f, key)) {
+      doomed.push_back(f->id);
     }
   }
+  std::sort(doomed.begin(), doomed.end());
+  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
   for (const FlowId fid : doomed) fail_flow(fid, NetError::kNodeOffline);
 }
 

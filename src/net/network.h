@@ -13,7 +13,7 @@
 // kBackground flows receive only capacity left over after all kForeground
 // flows are allocated, emulating Nice's yield-to-foreground behaviour.
 //
-// The allocator is *incremental*: a per-resource index (access-link key →
+// The allocator is *incremental*: a per-node flow index (access link →
 // flows using it) lets every flow start/finish/cancel/degrade re-level only
 // the connected component of flows that share resources — transitively —
 // with the changed ones. Max-min rates in one component are independent of
@@ -21,12 +21,26 @@
 // their already-scheduled completion events. AllocMode::kGlobal re-levels
 // everything on every change (the pre-incremental behaviour, kept as the
 // bench baseline), and VCMR_NET_CHECK_ALLOC cross-checks each incremental
-// pass against a full global water-filling oracle.
+// pass against a full global water-filling.
+//
+// The allocator's storage is flat and reused: each flow carries its 2 or 4
+// resource keys inline, each direction of a node's access link heads an
+// intrusive list of the flows on it and holds generation-stamp and
+// dense-index scratch, and a leveling pass fills member arrays (capacity,
+// users, a resource → flows CSR list per class) instead of allocating maps
+// and sets. The floating-point operations are those of the historical
+// map-based fill: the bottleneck is the smallest max(0, cap) / users found
+// by a strict `<` scan in ascending key order, so ties go to the lowest
+// key; and within one round every subtraction from a resource's capacity
+// is the same fair share, so freezing only the bottleneck's flows, in
+// whatever order, yields the same bits.
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -176,8 +190,27 @@ class Network {
     NodeTraffic traffic;
   };
 
+  /// Allocator resource keys: +id = uplink, -id-1 = downlink. A flow's
+  /// keys are fixed at start_flow; a relayed flow keeps a duplicate key when
+  /// the relay is also an endpoint, so the fill counts and charges that
+  /// link twice.
+  struct Resources {
+    std::array<std::int64_t, 4> keys{};
+    std::size_t size = 0;
+    const std::int64_t* begin() const { return keys.data(); }
+    const std::int64_t* end() const { return keys.data() + size; }
+    /// Position of the first occurrence of `key` (which must be present).
+    std::size_t slot_of(std::int64_t key) const {
+      return static_cast<std::size_t>(std::find(begin(), end(), key) - begin());
+    }
+    /// keys[i] repeats an earlier key.
+    bool repeats(std::size_t i) const { return slot_of(keys[i]) != i; }
+  };
+
   struct Flow {
     FlowSpec spec;
+    FlowId id;
+    Resources resources;
     Bytes done = 0;
     double rate = 0.0;           ///< bytes/s under current allocation
     /// Progress anchor: `done` at any instant is anchor_done plus the bytes
@@ -192,7 +225,23 @@ class Network {
     bool leveled = false;        ///< been through the allocator at least once
     sim::EventHandle completion;
     Bytes fail_after_bytes = -1;  ///< injected failure threshold; -1 = none
+    std::uint32_t seen = 0;       ///< component_of() generation stamp
+    /// Intrusive links of the per-resource flow lists, by position in
+    /// `resources` (unused at a position whose key repeats an earlier one).
+    std::array<Flow*, 4> next{};
+    std::array<Flow*, 4> prev{};
   };
+
+  /// One direction of a node's access link: the allocator's resource.
+  struct Link {
+    Flow* head = nullptr;     ///< flows using this link, each once, unordered
+    std::uint32_t seen = 0;   ///< generation stamp of the last pass to visit
+    std::uint32_t local = 0;  ///< dense index within the pass that stamped it
+  };
+  /// Next flow after `f` on the list of resource `key`.
+  static Flow* next_on(const Flow& f, std::int64_t key) {
+    return f.next[f.resources.slot_of(key)];
+  }
 
   /// Next scheduled progress point of a flow: either the armed injected
   /// failure (strictly inside the transfer and not yet reached) or normal
@@ -215,40 +264,61 @@ class Network {
   /// each flow whose rate actually changed, settle, re-anchor, and
   /// reschedule its milestone event. Unchanged flows are left entirely
   /// alone — same rate, same pending completion event.
-  void reallocate(const std::vector<std::int64_t>& dirty);
-  /// Flows sharing resources, transitively, with the given resource keys.
-  std::set<FlowId> component_of(const std::vector<std::int64_t>& dirty) const;
-  /// Two-class progressive filling restricted to `ids`. Max-min rates of a
-  /// connected component do not depend on flows outside it, and the
-  /// restricted fill performs the identical floating-point operations the
-  /// global fill would on this component, so the result is bit-equal.
-  std::map<FlowId, double> level(const std::set<FlowId>& ids) const;
-  /// VCMR_NET_CHECK_ALLOC: compare every stored rate against a fresh global
-  /// water-filling; throws on any mismatch.
-  void check_against_oracle() const;
+  void reallocate(const Resources& dirty);
+  /// Fills comp_ with the flows sharing resources, transitively, with the
+  /// dirty keys, in ascending FlowId order.
+  void component_of(const Resources& dirty);
+  /// Two-class progressive filling of comp_ into rate_ (rate_[i] belongs to
+  /// comp_[i]). Max-min rates of a connected component do not depend on
+  /// flows outside it, and the restricted fill performs the identical
+  /// floating-point operations the global fill would on this component, so
+  /// the result is bit-equal.
+  void level();
+  /// VCMR_NET_CHECK_ALLOC: re-level every flow and compare against the
+  /// stored rates; throws on any mismatch.
+  void check_against_oracle();
+  /// Fires a flow's armed milestone: completion or injected failure.
+  void reach_milestone(FlowId id);
 
-  void index_flow(FlowId id, const Flow& f);
-  void unindex_flow(FlowId id, const Flow& f);
+  void index_flow(Flow& f);
+  void unindex_flow(Flow& f);
+  /// A fresh generation stamp; on wrap-around every stamp is cleared first.
+  std::uint32_t next_generation();
 
   void complete_flow(FlowId id);
   void fail_flow(FlowId id, NetError err);
-  /// Fails every flow that traverses `id` (endpoint or relay).
+  /// Fails every flow that traverses `id` (endpoint or relay), in ascending
+  /// FlowId order.
   void fail_flows_touching(NodeId id);
   /// Fails every flow whose endpoints/relay now span partition classes.
   void fail_partitioned_flows();
 
-  /// Resource keys for the allocator: +id = uplink, -id-1 = downlink.
   static std::int64_t up_key(NodeId id) { return id.value(); }
   static std::int64_t down_key(NodeId id) { return -id.value() - 1; }
-  std::vector<std::int64_t> resources_of(const Flow& f) const;
+  Link& link(std::int64_t key) {
+    return links_[static_cast<std::size_t>(key >= 0 ? 2 * key : -2 * key - 1)];
+  }
   double resource_capacity(std::int64_t key) const;
 
   sim::Simulation& sim_;
   std::vector<Node> nodes_;
   std::map<FlowId, Flow> flows_;  ///< ordered: deterministic iteration
-  /// Per-resource flow index: resource key → flows currently using it.
-  /// Maintained at flow add/remove; drives component_of().
-  std::map<std::int64_t, std::set<FlowId>> flows_by_resource_;
+  /// Per-node flow index, sized in add_node: links_[2 * id] is node id's
+  /// uplink, links_[2 * id + 1] its downlink. Maintained at flow
+  /// add/remove; drives component_of() and fail_flows_touching().
+  std::vector<Link> links_;
+  /// Allocator scratch, reused across passes so a reallocation allocates
+  /// nothing once the vectors have grown to the largest component.
+  std::uint32_t generation_ = 0;
+  std::vector<Flow*> comp_;              ///< the component, by FlowId
+  std::vector<std::int64_t> frontier_;   ///< component_of() BFS queue
+  std::vector<std::int64_t> res_keys_;   ///< level(): resources, by key
+  std::vector<double> cap_;              ///< remaining capacity per resource
+  std::vector<int> users_;               ///< pending-flow crossings per resource
+  std::vector<std::uint32_t> csr_off_;   ///< resource → first csr_ entry
+  std::vector<std::uint32_t> csr_;       ///< flows (comp_ indices) per resource
+  std::vector<std::uint8_t> frozen_;     ///< per comp_ entry: rate fixed
+  std::vector<double> rate_;             ///< per comp_ entry: leveled rate
   std::int64_t next_flow_id_ = 1;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
   bool check_alloc_ = false;

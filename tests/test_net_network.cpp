@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -179,6 +183,51 @@ TEST(Network, OfflineEndpointFailsFlows) {
   f.sim.run();
   EXPECT_TRUE(failed);
   EXPECT_EQ(err, NetError::kNodeOffline);
+}
+
+TEST(Network, OfflineNodeFailsItsFlowsInFlowIdOrder) {
+  // n is the destination of the first flow, the source of the second and
+  // the relay of the third, so its downlink and uplink each carry two of
+  // them: the failures must still arrive in ascending FlowId order, and an
+  // unrelated flow must keep running.
+  Fixture f;
+  const NodeId n = f.add(100, 100);
+  const NodeId a = f.add(100, 100);
+  const NodeId b = f.add(100, 100);
+  const NodeId c = f.add(100, 100);
+  std::vector<std::pair<FlowId, NetError>> failures;
+  bool bystander_done = false;
+  const auto start = [&](NodeId src, NodeId dst, std::optional<NodeId> relay,
+                         FlowId* id) {
+    FlowSpec fs;
+    fs.src = src;
+    fs.dst = dst;
+    fs.relay = relay;
+    fs.bytes = 12'500'000;
+    fs.on_fail = [&failures, id](NetError e) { failures.emplace_back(*id, e); };
+    *id = f.net.start_flow(std::move(fs));
+  };
+  FlowId to_n, from_n, via_n;
+  start(a, n, std::nullopt, &to_n);
+  start(n, b, std::nullopt, &from_n);
+  start(c, a, n, &via_n);
+  ASSERT_LT(to_n, from_n);
+  ASSERT_LT(from_n, via_n);
+  FlowSpec other;
+  other.src = b;
+  other.dst = c;
+  other.bytes = 12'500'000;
+  other.on_complete = [&] { bystander_done = true; };
+  f.net.start_flow(std::move(other));
+
+  f.sim.after(SimTime::seconds(0.2), [&] { f.net.set_online(n, false); });
+  f.sim.run();
+  const std::vector<std::pair<FlowId, NetError>> expected{
+      {to_n, NetError::kNodeOffline},
+      {from_n, NetError::kNodeOffline},
+      {via_n, NetError::kNodeOffline}};
+  EXPECT_EQ(failures, expected);
+  EXPECT_TRUE(bystander_done);
 }
 
 TEST(Network, FlowToOfflineNodeFailsImmediately) {

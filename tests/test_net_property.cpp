@@ -1,9 +1,15 @@
 // Property tests over the network substrate: randomized flow workloads
 // must conserve bytes, never over-allocate a link, and replay identically
-// for the same seed.
+// for the same seed; the allocator must match an independent reference
+// water-filling after every event.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -105,6 +111,126 @@ TEST_P(NetFuzz, ReplayIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NetFuzz,
                          ::testing::Values(1, 5, 17, 23, 99, 12345));
 
+// --- reference allocator -----------------------------------------------------
+//
+// The historical two-class progressive filling over std::map, kept
+// independent of Network's flat allocator: the network's rates must equal
+// these bit for bit. It sees the network only through public accessors.
+
+struct RefFlow {
+  NodeId src, dst;
+  std::optional<NodeId> relay;
+  FlowPriority priority = FlowPriority::kForeground;
+};
+
+std::vector<std::int64_t> ref_resources(const RefFlow& f) {
+  // Resource keys: +id = uplink, -id-1 = downlink.
+  std::vector<std::int64_t> r{f.src.value(), -f.dst.value() - 1};
+  if (f.relay) {
+    r.push_back(-f.relay->value() - 1);
+    r.push_back(f.relay->value());
+  }
+  return r;
+}
+
+double ref_capacity(const Network& net, std::int64_t key) {
+  const NodeId id{key >= 0 ? key : -key - 1};
+  return (key >= 0 ? net.up_bps(id) : net.down_bps(id)) * net.link_scale(id);
+}
+
+std::map<FlowId, double> reference_rates(
+    const Network& net, const std::map<FlowId, RefFlow>& flows) {
+  std::map<FlowId, double> rate;
+  std::map<std::int64_t, double> cap;  // remaining capacity per resource
+  for (const auto& [id, f] : flows) {
+    rate[id] = 0.0;
+    for (const auto r : ref_resources(f)) cap.emplace(r, ref_capacity(net, r));
+  }
+  for (const FlowPriority cls :
+       {FlowPriority::kForeground, FlowPriority::kBackground}) {
+    std::map<FlowId, const RefFlow*> pending;
+    std::map<std::int64_t, int> users;  // resource -> #pending flows
+    for (const auto& [id, f] : flows) {
+      if (f.priority != cls) continue;
+      pending.emplace(id, &f);
+      for (const auto r : ref_resources(f)) ++users[r];
+    }
+    while (!pending.empty()) {
+      // Bottleneck: smallest fair share, ties to the lowest key.
+      double best_share = std::numeric_limits<double>::infinity();
+      std::int64_t best_r = 0;
+      for (const auto& [r, n] : users) {
+        if (n <= 0) continue;
+        const double share = std::max(0.0, cap[r]) / n;
+        if (share < best_share) {
+          best_share = share;
+          best_r = r;
+        }
+      }
+      if (!std::isfinite(best_share)) break;
+      for (auto it = pending.begin(); it != pending.end();) {
+        const auto rs = ref_resources(*it->second);
+        if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) {
+          ++it;
+          continue;
+        }
+        rate[it->first] = best_share;
+        for (const auto r : rs) {
+          cap[r] -= best_share;
+          --users[r];
+        }
+        it = pending.erase(it);
+      }
+    }
+  }
+  // The network stores sub-millibyte/s shares as a stall.
+  for (auto& [id, r] : rate) {
+    if (r < 1e-3) r = 0.0;
+  }
+  return rate;
+}
+
+/// Starts flows on behalf of a test, remembering each one's shape, and
+/// compares every active flow's rate with reference_rates() on demand.
+class ReferenceCheck {
+ public:
+  explicit ReferenceCheck(Network& net) : net_(net) {}
+
+  FlowId start(FlowSpec fs) {
+    const RefFlow shape{fs.src, fs.dst, fs.relay, fs.priority};
+    const FlowId id = net_.start_flow(std::move(fs));
+    flows_.emplace(id, shape);
+    return id;
+  }
+
+  /// Meant to run after every event (Simulation::run_until's predicate).
+  void check() {
+    std::erase_if(flows_, [this](const auto& kv) {
+      return !net_.flow_active(kv.first);
+    });
+    ASSERT_EQ(net_.active_flow_count(), flows_.size());
+    for (const auto& [id, want] : reference_rates(net_, flows_)) {
+      EXPECT_EQ(net_.flow_rate(id), want) << "flow " << id.value();
+    }
+    ++checks_;
+  }
+
+  /// Runs the simulation to completion, checking after every event.
+  void run(sim::Simulation& sim) {
+    sim.run_until([this] {
+      check();
+      return false;
+    });
+  }
+
+  int checks() const { return checks_; }
+
+ private:
+  Network& net_;
+  std::map<FlowId, RefFlow> flows_;
+  int checks_ = 0;
+};
+
 // --- incremental == global allocation equivalence --------------------------
 //
 // The incremental allocator re-levels only the dirty connected component and
@@ -128,10 +254,14 @@ struct MixedTrace {
   bool operator==(const MixedTrace&) const = default;
 };
 
+/// With `reference_checks` set, every event is followed by a ReferenceCheck
+/// and the number of checks made is stored there.
 MixedTrace run_mixed_schedule(std::uint64_t seed, AllocMode mode,
-                              bool check_alloc) {
+                              bool check_alloc,
+                              int* reference_checks = nullptr) {
   sim::Simulation sim(seed);
   Network net(sim);
+  ReferenceCheck ref(net);
   net.set_alloc_mode(mode);
   net.set_check_alloc(check_alloc);
   common::Rng rng = sim.rng_stream("mixed");
@@ -163,7 +293,7 @@ MixedTrace run_mixed_schedule(std::uint64_t seed, AllocMode mode,
       if (r != src && r != dst) relay = nodes[r];
     }
     const SimTime start = SimTime::seconds(rng.uniform(0, 6));
-    sim.at(start, [&res, &net, &nodes, ids, i, src, dst, bytes, background,
+    sim.at(start, [&res, &ref, &nodes, ids, i, src, dst, bytes, background,
                    relay, &sim] {
       FlowSpec fs;
       fs.src = nodes[src];
@@ -179,7 +309,7 @@ MixedTrace run_mixed_schedule(std::uint64_t seed, AllocMode mode,
         res.outcomes.emplace_back(i, sim.now().as_micros(),
                                   1 + static_cast<int>(e));
       };
-      ids->push_back(net.start_flow(std::move(fs)));
+      ids->push_back(ref.start(std::move(fs)));
     });
   }
   // Cancels of random flows (no-ops when already finished).
@@ -219,7 +349,12 @@ MixedTrace run_mixed_schedule(std::uint64_t seed, AllocMode mode,
     });
   }
 
-  sim.run();
+  if (reference_checks != nullptr) {
+    ref.run(sim);
+    *reference_checks = ref.checks();
+  } else {
+    sim.run();
+  }
   res.finish_us = sim.now().as_micros();
   for (const NodeId n : nodes) {
     res.sent.push_back(net.traffic(n).bytes_sent);
@@ -248,8 +383,167 @@ TEST_P(AllocEquivalence, IncrementalMatchesGlobalBitForBit) {
   EXPECT_EQ(inc.finish_us, glob.finish_us);
 }
 
+TEST_P(AllocEquivalence, MatchesReferenceAllocatorAfterEveryEvent) {
+  int checks = 0;
+  const MixedTrace checked =
+      run_mixed_schedule(GetParam(), AllocMode::kIncremental, false, &checks);
+  EXPECT_GT(checks, 100);
+  // Checking reads the network only, so the run itself is unchanged.
+  EXPECT_EQ(checked,
+            run_mixed_schedule(GetParam(), AllocMode::kIncremental, false));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocEquivalence,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+// --- reference allocator: targeted shapes ----------------------------------
+
+NodeId add_node(Network& net, double up_bps, double down_bps) {
+  NodeConfig c;
+  c.up_bps = up_bps;
+  c.down_bps = down_bps;
+  return net.add_node(c);
+}
+
+FlowSpec flow(NodeId src, NodeId dst, Bytes bytes,
+              std::optional<NodeId> relay = std::nullopt,
+              FlowPriority priority = FlowPriority::kForeground) {
+  FlowSpec fs;
+  fs.src = src;
+  fs.dst = dst;
+  fs.bytes = bytes;
+  fs.relay = relay;
+  fs.priority = priority;
+  return fs;
+}
+
+TEST(NetReference, RelayThatIsAlsoAnEndpointChargesItsLinkTwice) {
+  // relay == src puts the source's uplink on the flow twice, relay == dst
+  // the destination's downlink: the fill counts and charges it twice.
+  sim::Simulation sim(3);
+  Network net(sim);
+  ReferenceCheck ref(net);
+  const NodeId a = add_node(net, 8e6, 8e6);
+  const NodeId b = add_node(net, 8e6, 6e6);
+  const NodeId c = add_node(net, 8e6, 8e6);
+  const FlowId via_src = ref.start(flow(a, b, 4'000'000, a));
+  const FlowId via_dst = ref.start(flow(c, b, 3'000'000, b));
+  ref.start(flow(a, c, 5'000'000));
+  ref.check();
+  // b's downlink (6e6) carries via_src once and via_dst twice: 2e6 each.
+  EXPECT_EQ(net.flow_rate(via_src), 2e6);
+  EXPECT_EQ(net.flow_rate(via_dst), 2e6);
+  ref.run(sim);
+  EXPECT_GT(ref.checks(), 3);
+  EXPECT_EQ(net.traffic(a).bytes_relayed, 4'000'000);
+  EXPECT_EQ(net.traffic(b).bytes_relayed, 3'000'000);
+}
+
+TEST(NetReference, EqualShareTieGoesToTheLowestKey) {
+  // Two resources reach the same fair share s exactly. Which one freezes
+  // first decides the other flows' rates: freezing the 3-flow resource
+  // gives all three s, while freezing the 1-flow resource first leaves the
+  // other two (cap - s) / 2, which is a different double.
+  const double cap = 10e6;
+  const double s = cap / 3;
+  ASSERT_NE((cap - s) / 2, s);
+
+  // Case 1: the 3-flow resource is b's downlink, a negative key, so it
+  // wins the tie against a's uplink.
+  {
+    sim::Simulation sim(4);
+    Network net(sim);
+    ReferenceCheck ref(net);
+    const NodeId a = add_node(net, s, 100e6);
+    const NodeId b = add_node(net, 100e6, cap);
+    const NodeId c = add_node(net, 100e6, 100e6);
+    const NodeId d = add_node(net, 100e6, 100e6);
+    const FlowId x = ref.start(flow(a, b, 50'000'000));
+    const FlowId y = ref.start(flow(c, b, 50'000'000));
+    const FlowId z = ref.start(flow(d, b, 50'000'000));
+    ref.check();
+    EXPECT_EQ(net.flow_rate(x), s);
+    EXPECT_EQ(net.flow_rate(y), s);
+    EXPECT_EQ(net.flow_rate(z), s);
+    ref.run(sim);
+  }
+  // Case 2: both are uplinks. x runs from a through relay r; r also sends
+  // y and z. Uplink keys order by node id, so whichever of a and r was
+  // added first wins.
+  for (const bool relay_first : {true, false}) {
+    sim::Simulation sim(5);
+    Network net(sim);
+    ReferenceCheck ref(net);
+    NodeId a, r;
+    if (relay_first) {
+      r = add_node(net, cap, 100e6);
+      a = add_node(net, s, 100e6);
+    } else {
+      a = add_node(net, s, 100e6);
+      r = add_node(net, cap, 100e6);
+    }
+    const NodeId e = add_node(net, 100e6, 100e6);
+    const NodeId g = add_node(net, 100e6, 100e6);
+    const FlowId x = ref.start(flow(a, e, 50'000'000, r));
+    const FlowId y = ref.start(flow(r, e, 50'000'000));
+    const FlowId z = ref.start(flow(r, g, 50'000'000));
+    ref.check();
+    const double rest = relay_first ? s : (cap - s) / 2;
+    EXPECT_EQ(net.flow_rate(x), s);
+    EXPECT_EQ(net.flow_rate(y), rest);
+    EXPECT_EQ(net.flow_rate(z), rest);
+    ref.run(sim);
+  }
+}
+
+TEST(NetReference, StarvedBackgroundFlowsResumeWhenForegroundEnds) {
+  sim::Simulation sim(6);
+  Network net(sim);
+  ReferenceCheck ref(net);
+  const NodeId server = add_node(net, 4e6, 100e6);
+  const NodeId c1 = add_node(net, 100e6, 100e6);
+  const NodeId c2 = add_node(net, 100e6, 100e6);
+  const NodeId c3 = add_node(net, 100e6, 3e6);
+  const FlowId fg = ref.start(flow(server, c1, 4'000'000));
+  const FlowId bg1 = ref.start(flow(server, c2, 2'000'000, std::nullopt,
+                                    FlowPriority::kBackground));
+  const FlowId bg2 = ref.start(flow(server, c3, 2'000'000, std::nullopt,
+                                    FlowPriority::kBackground));
+  ref.check();
+  EXPECT_EQ(net.flow_rate(fg), 4e6);
+  EXPECT_EQ(net.flow_rate(bg1), 0.0);
+  EXPECT_EQ(net.flow_rate(bg2), 0.0);
+  bool bg_done = false;
+  sim.at(SimTime::seconds(1.5), [&] {
+    // Foreground is gone; the background pair shares the uplink.
+    EXPECT_FALSE(net.flow_active(fg));
+    EXPECT_EQ(net.flow_rate(bg1), 2e6);
+    EXPECT_EQ(net.flow_rate(bg2), 2e6);
+    bg_done = true;
+  });
+  ref.run(sim);
+  EXPECT_TRUE(bg_done);
+  EXPECT_GT(ref.checks(), 3);
+}
+
+TEST(NetReference, LinkScaleChangeRelevelsToTheReference) {
+  sim::Simulation sim(8);
+  Network net(sim);
+  ReferenceCheck ref(net);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 5; ++i) nodes.push_back(add_node(net, 7e6, 9e6));
+  ref.start(flow(nodes[0], nodes[1], 20'000'000));
+  ref.start(flow(nodes[0], nodes[2], 20'000'000, nodes[3]));
+  ref.start(flow(nodes[4], nodes[2], 20'000'000, std::nullopt,
+                 FlowPriority::kBackground));
+  ref.start(flow(nodes[1], nodes[4], 20'000'000));
+  sim.at(SimTime::seconds(0.5), [&] { net.set_link_scale(nodes[0], 0.3); });
+  sim.at(SimTime::seconds(1.0), [&] { net.set_link_scale(nodes[2], 0.7); });
+  sim.at(SimTime::seconds(2.0), [&] { net.set_link_scale(nodes[0], 1.0); });
+  ref.run(sim);
+  EXPECT_GT(ref.checks(), 6);
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
 
 TEST(NetProperty, AllocationNeverExceedsCapacity) {
   // At every reallocation instant, each node's outgoing allocation must be
