@@ -21,11 +21,6 @@
 namespace vcmr {
 namespace {
 
-double wall_since(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct Variant {
   const char* name;
   bool immediate_report;
@@ -65,7 +60,7 @@ SeedRun run_point_seed(const Point& p, int i) {
   core::Cluster cluster(s);
   SeedRun r;
   r.out = cluster.run_job();
-  r.wall_s = wall_since(t0);
+  r.wall_s = bench::wall_since(t0);
   return r;
 }
 
@@ -156,7 +151,7 @@ void run(int n_seeds, const char* out_path, int jobs) {
       const core::Scenario s = make_scenario(point);
       const auto pt0 = std::chrono::steady_clock::now();
       const auto outcomes = bench::run_seeds(s, n_seeds);
-      points_wall_s += wall_since(pt0);
+      points_wall_s += bench::wall_since(pt0);
       render_row(point, outcomes, metrics.registry(), rows, &baseline_gap,
                  &mitigated_gap);
     }
@@ -187,7 +182,7 @@ void run(int n_seeds, const char* out_path, int jobs) {
       "map trimmed) at the cost of more RPCs; E5 shrinks the map->reduce gap\n"
       "and lets reduce downloads overlap the map phase.\n");
 
-  const double wall_s = wall_since(t0);
+  const double wall_s = bench::wall_since(t0);
   bench::JsonRow headline;
   headline.field("seeds", n_seeds)
       .field("points", static_cast<int>(rows.size()))

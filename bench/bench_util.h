@@ -7,6 +7,7 @@
 // micro-benchmarks (bench_mr_micro, bench_net_micro) use google-benchmark
 // for real wall-clock measurements of the substrate.
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -24,6 +25,12 @@ namespace vcmr::bench {
 /// Quiet logs for report binaries.
 inline void silence_logs() {
   common::LogConfig::instance().set_level(common::LogLevel::kOff);
+}
+
+/// Wall seconds elapsed since t0.
+inline double wall_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 inline void heading(const std::string& title) {

@@ -27,11 +27,6 @@
 namespace vcmr {
 namespace {
 
-double wall_since(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 // --- E7: replication factor x byzantine fraction ---------------------------
 
 struct QuorumConfig {
@@ -78,7 +73,7 @@ QuorumSeed run_quorum_seed(const QuorumConfig& cfg, int i) {
           }
         });
   }
-  r.wall_s = wall_since(t0);
+  r.wall_s = bench::wall_since(t0);
   return r;
 }
 
@@ -303,7 +298,7 @@ AdaptiveSeed run_adaptive_seed(const AdaptiveConfig& cfg, int i) {
       out.overhead = static_cast<double>(results_created) / wus_validated;
     }
   }
-  out.wall_s = wall_since(t0);
+  out.wall_s = bench::wall_since(t0);
   return out;
 }
 

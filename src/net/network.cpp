@@ -20,7 +20,9 @@ const char* to_string(NetError e) {
 }
 
 Network::Network(sim::Simulation& sim)
-    : sim_(sim), fail_rng_(sim.rng_stream("net.flowfail")) {
+    : sim_(sim),
+      timers_(sim, [this](Flow& f) { reach_milestone(f.id); }),
+      fail_rng_(sim.rng_stream("net.flowfail")) {
   check_alloc_ = std::getenv("VCMR_NET_CHECK_ALLOC") != nullptr;
 }
 
@@ -193,11 +195,7 @@ void Network::cancel_flow(FlowId id) {
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;
   settle(it->second);
-  sim_.cancel(it->second.completion);
-  const Resources dirty = it->second.resources;
-  unindex_flow(it->second);
-  flows_.erase(it);
-  reallocate(dirty);
+  reallocate(remove_flow(it));
 }
 
 bool Network::flow_active(FlowId id) const { return flows_.count(id) > 0; }
@@ -387,11 +385,12 @@ void Network::reallocate(const Resources& dirty) {
     level();
 
     // 3. Apply. A flow whose rate comes out bit-identical keeps its anchor
-    // and its scheduled completion event untouched; only actual rate
-    // changes settle, re-anchor, and reschedule. Because kGlobal levels a
-    // superset but every extra flow's rate is unchanged by construction,
-    // both modes perform the same mutations here.
+    // and its pending deadline in timers_ untouched; only actual rate
+    // changes settle, re-anchor, and reset their deadline. Because kGlobal
+    // levels a superset but every extra flow's rate is unchanged by
+    // construction, both modes perform the same mutations here.
     const SimTime now = sim_.now();
+    const sim::TimerHeap<Flow, &Flow::completion>::Batch batch(timers_);
     for (std::size_t j = 0; j < comp_.size(); ++j) {
       Flow& f = *comp_[j];
       double r = rate_[j];
@@ -408,27 +407,21 @@ void Network::reallocate(const Resources& dirty) {
       f.anchor_time = now;
       f.rate = r;
       f.leveled = true;
-      sim_.cancel(f.completion);
-      f.completion = sim::EventHandle{};
 
-      const Milestone m = milestone_of(f);
-      const Bytes left = m.target - f.done;
-      const FlowId fid = f.id;
+      // The milestone is re-derived on firing, since neither `done` nor
+      // the failure threshold changes while the deadline is pending.
+      const Bytes left = milestone_of(f).target - f.done;
       if (left <= 0) {
         // Already past the milestone; fire now. milestone_of() never
         // reports an armed threshold at or past `done`, so this is always
         // a completion.
-        f.completion =
-            sim_.after(SimTime::zero(), [this, fid] { complete_flow(fid); });
-        continue;
+        timers_.set(f, now);
+      } else if (f.rate == 0.0) {
+        timers_.erase(f);
+      } else {
+        const double secs = static_cast<double>(left) / f.rate;
+        timers_.set(f, now + SimTime::seconds(secs));
       }
-      if (f.rate == 0.0) continue;
-      const double secs = static_cast<double>(left) / f.rate;
-      // Two words, so std::function stores the callback inline; the
-      // milestone is re-derived on firing, since neither `done` nor the
-      // failure threshold changes while the event is armed.
-      f.completion = sim_.at(now + SimTime::seconds(secs),
-                             [this, fid] { reach_milestone(fid); });
     }
   }
 
@@ -454,6 +447,27 @@ void Network::check_against_oracle() {
             "VCMR_NET_CHECK_ALLOC: incremental allocation diverged from the "
             "global water-filling oracle");
   }
+
+  // Milestones: a flow is pending iff it moves or is past its milestone,
+  // at the deadline its anchor implies; nothing else is in the heap.
+  std::size_t pending = 0;
+  for (const auto& [id, f] : flows_) {
+    const Bytes left = milestone_of(f).target - f.anchor_done;
+    const bool due = left <= 0 || f.rate > 0.0;
+    require(timers_.contains(f) == due,
+            "VCMR_NET_CHECK_ALLOC: flow milestone pending state is wrong");
+    if (!due) continue;
+    ++pending;
+    const SimTime at =
+        left <= 0 ? f.anchor_time
+                  : f.anchor_time +
+                        SimTime::seconds(static_cast<double>(left) / f.rate);
+    require(f.completion.due == at,
+            "VCMR_NET_CHECK_ALLOC: flow milestone deadline is stale");
+  }
+  require(pending == timers_.size(),
+          "VCMR_NET_CHECK_ALLOC: milestone heap holds a removed flow");
+  timers_.check();
 }
 
 void Network::complete_flow(FlowId id) {
@@ -472,10 +486,7 @@ void Network::complete_flow(FlowId id) {
     f.done = f.spec.bytes;
   }
   auto cb = std::move(f.spec.on_complete);
-  const Resources dirty = f.resources;
-  unindex_flow(f);
-  flows_.erase(it);
-  reallocate(dirty);
+  reallocate(remove_flow(it));
   if (cb) cb();
 }
 
@@ -484,12 +495,17 @@ void Network::fail_flow(FlowId id, NetError err) {
   if (it == flows_.end()) return;
   settle(it->second);
   auto cb = std::move(it->second.spec.on_fail);
-  sim_.cancel(it->second.completion);
-  const Resources dirty = it->second.resources;
-  unindex_flow(it->second);
-  flows_.erase(it);
-  reallocate(dirty);
+  reallocate(remove_flow(it));
   if (cb) cb(err);
+}
+
+Network::Resources Network::remove_flow(std::map<FlowId, Flow>::iterator it) {
+  Flow& f = it->second;
+  timers_.erase(f);
+  const Resources dirty = f.resources;
+  unindex_flow(f);
+  flows_.erase(it);
+  return dirty;
 }
 
 void Network::fail_flows_touching(NodeId id) {

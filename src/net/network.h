@@ -18,10 +18,19 @@
 // the connected component of flows that share resources — transitively —
 // with the changed ones. Max-min rates in one component are independent of
 // every other component, so flows outside it keep both their rates and
-// their already-scheduled completion events. AllocMode::kGlobal re-levels
-// everything on every change (the pre-incremental behaviour, kept as the
-// bench baseline), and VCMR_NET_CHECK_ALLOC cross-checks each incremental
-// pass against a full global water-filling.
+// their pending milestones. AllocMode::kGlobal re-levels everything on
+// every change (the pre-incremental behaviour, kept as the bench baseline),
+// and VCMR_NET_CHECK_ALLOC cross-checks each incremental pass against a
+// full global water-filling, and the milestone heap against the flows.
+//
+// Flow milestones (completion or injected failure) live in one
+// sim::TimerHeap, so the whole network owns a single sim event: a rate
+// change moves the flow's deadline within the heap instead of cancelling
+// and scheduling a queue entry, and a reallocation costs O(changed flows)
+// heap updates and O(1) queue operations. The heap draws each deadline's
+// tie-break sequence number where a per-flow sim_.at() used to, so the
+// event order, and every milestone's firing as one executed event, are
+// unchanged.
 //
 // The allocator's storage is flat and reused: each flow carries its 2 or 4
 // resource keys inline, each direction of a node's access link heads an
@@ -47,6 +56,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/simulation.h"
+#include "sim/timer_heap.h"
 
 namespace vcmr::net {
 
@@ -223,7 +233,9 @@ class Network {
     Bytes anchor_done = 0;
     SimTime anchor_time;
     bool leveled = false;        ///< been through the allocator at least once
-    sim::EventHandle completion;
+    /// The next milestone's slot in timers_: pending while the flow moves
+    /// (rate > 0) or is already past its milestone.
+    sim::Timer completion;
     Bytes fail_after_bytes = -1;  ///< injected failure threshold; -1 = none
     std::uint32_t seen = 0;       ///< component_of() generation stamp
     /// Intrusive links of the per-resource flow lists, by position in
@@ -262,8 +274,8 @@ class Network {
   /// Re-level the connected component reachable from the dirty resource
   /// keys (every flow in kGlobal mode): water-fill the component, then for
   /// each flow whose rate actually changed, settle, re-anchor, and
-  /// reschedule its milestone event. Unchanged flows are left entirely
-  /// alone — same rate, same pending completion event.
+  /// reset its milestone deadline. Unchanged flows are left entirely
+  /// alone — same rate, same pending deadline.
   void reallocate(const Resources& dirty);
   /// Fills comp_ with the flows sharing resources, transitively, with the
   /// dirty keys, in ascending FlowId order.
@@ -275,7 +287,9 @@ class Network {
   /// the result is bit-equal.
   void level();
   /// VCMR_NET_CHECK_ALLOC: re-level every flow and compare against the
-  /// stored rates; throws on any mismatch.
+  /// stored rates, and require the milestone heap to hold exactly the
+  /// moving or finished flows at the deadlines their anchors imply, with
+  /// its armed event at the top; throws on any mismatch.
   void check_against_oracle();
   /// Fires a flow's armed milestone: completion or injected failure.
   void reach_milestone(FlowId id);
@@ -285,6 +299,9 @@ class Network {
   /// A fresh generation stamp; on wrap-around every stamp is cleared first.
   std::uint32_t next_generation();
 
+  /// Drops a settled flow: withdraws its deadline, unlinks it, erases it.
+  /// Returns the resources to re-level.
+  Resources remove_flow(std::map<FlowId, Flow>::iterator it);
   void complete_flow(FlowId id);
   void fail_flow(FlowId id, NetError err);
   /// Fails every flow that traverses `id` (endpoint or relay), in ascending
@@ -319,6 +336,8 @@ class Network {
   std::vector<std::uint32_t> csr_;       ///< flows (comp_ indices) per resource
   std::vector<std::uint8_t> frozen_;     ///< per comp_ entry: rate fixed
   std::vector<double> rate_;             ///< per comp_ entry: leveled rate
+  /// Pending milestones, by (due, reserved seq); the network's one event.
+  sim::TimerHeap<Flow, &Flow::completion> timers_;
   std::int64_t next_flow_id_ = 1;
   AllocMode alloc_mode_ = AllocMode::kIncremental;
   bool check_alloc_ = false;

@@ -1,6 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <fstream>
+#include <optional>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -141,7 +144,22 @@ ScopedMetricsRegistry::~ScopedMetricsRegistry() {
   MetricsRegistry::current() = prev_;
 }
 
+namespace {
+/// A "<field>:  <n> kB" line of /proc/self/status, in bytes; nullopt where
+/// /proc is missing or the field is absent.
+std::optional<std::int64_t> proc_status_bytes(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoll(line.substr(field.size() + 1)) * 1024;
+    }
+  }
+  return std::nullopt;
+}
+}  // namespace
+
 std::int64_t peak_rss_bytes() {
+  if (const auto hwm = proc_status_bytes("VmHWM")) return *hwm;
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;

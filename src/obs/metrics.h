@@ -170,12 +170,15 @@ class ScopedMetricsRegistry {
   MetricsRegistry* prev_;
 };
 
-/// Peak resident set size of this process in bytes (getrusage ru_maxrss),
-/// for the scale benchmarks' memory-footprint rows. Monotone over the
-/// process lifetime; 0 on platforms without getrusage. Thread-safe (one
-/// syscall, no shared state) — but because the value is process-wide and
-/// monotone, rows measured on a busy pool see the high-water mark of
-/// *all* concurrent simulations, not their own.
+/// Peak resident set size of this process image in bytes, for the scale
+/// benchmarks' memory-footprint rows and the metrics stream. Reads VmHWM
+/// from /proc/self/status: getrusage's ru_maxrss, the fallback where /proc
+/// is missing, keeps the parent's high-water mark across fork and exec on
+/// Linux, so a small child of a large process would report the parent's
+/// peak. Monotone over the process lifetime; 0 where neither source
+/// exists. Thread-safe (no shared state) — but because the value is
+/// process-wide and monotone, rows measured on a busy pool see the
+/// high-water mark of *all* concurrent simulations, not their own.
 std::int64_t peak_rss_bytes();
 
 }  // namespace vcmr::obs

@@ -15,6 +15,10 @@
 
 namespace vcmr::sim {
 
+struct Timer;
+template <class Item, Timer Item::*Slot>
+class TimerHeap;
+
 class Simulation {
  public:
   /// root_seed drives every RNG stream in the simulation.
@@ -45,6 +49,12 @@ class Simulation {
   void stop() { stop_requested_ = true; }
 
   std::size_t events_executed() const { return events_executed_; }
+  /// Queue operations: entries queued and pending entries cancelled. A
+  /// TimerHeap re-arm counts as a schedule, plus a cancel when its entry
+  /// was still pending. Not in the metrics registry, so exported metrics
+  /// do not depend on the queue's mechanics.
+  std::size_t events_scheduled() const { return queue_.scheduled(); }
+  std::size_t events_cancelled() const { return queue_.cancelled(); }
   bool idle() const { return queue_.empty(); }
 
   const common::RngStreamFactory& rng_factory() const { return rng_; }
@@ -53,6 +63,20 @@ class Simulation {
   }
 
  private:
+  // The reserved-seq hooks, for TimerHeap only: every reserve_seq() stands
+  // for an at()/after() its owner would otherwise have called then, and
+  // TimerHeap::set() checks the time against now() as at() does.
+  template <class Item, Timer Item::*Slot>
+  friend class TimerHeap;
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventHandle at_reserved(SimTime when, std::uint64_t seq, EventFn fn) {
+    return queue_.schedule_reserved(when, seq, std::move(fn));
+  }
+  EventHandle rekey(EventHandle h, SimTime when, std::uint64_t seq) {
+    return queue_.rekey(h, when, seq);
+  }
+  bool pending(EventHandle h) const { return queue_.pending(h); }
+
   SimTime now_;
   EventQueue queue_;
   common::RngStreamFactory rng_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -524,6 +525,132 @@ TEST(NetworkDegrade, ScaleAccessorAndValidation) {
   EXPECT_EQ(f.net.link_scale(a), 0.25);
   EXPECT_THROW(f.net.set_link_scale(a, 0.0), Error);
   EXPECT_THROW(f.net.set_link_scale(a, -0.5), Error);
+}
+
+// --- milestone order on the network's single timer ----------------------------
+// Every flow milestone still fires as its own executed event, in the order
+// one queue entry per flow would give: a deadline's tie-break sequence
+// number is drawn when the deadline is set.
+
+struct OrderFixture : Fixture {
+  std::vector<std::string> log;
+  FlowId flow(NodeId src, NodeId dst, Bytes bytes, const std::string& name) {
+    FlowSpec fs;
+    fs.src = src;
+    fs.dst = dst;
+    fs.bytes = bytes;
+    fs.on_complete = [this, name] { log.push_back(name); };
+    fs.on_fail = [this, name](NetError) { log.push_back(name + " failed"); };
+    return net.start_flow(std::move(fs));
+  }
+  void event(SimTime at, const std::string& name) {
+    sim.at(at, [this, name] { log.push_back(name); });
+  }
+};
+
+TEST(NetworkOrder, ZeroByteFlowAndZeroDelayEventFireInStartOrder) {
+  for (const bool flow_first : {true, false}) {
+    OrderFixture f;
+    const NodeId a = f.add(100, 100);
+    const NodeId b = f.add(100, 100);
+    if (flow_first) f.flow(a, b, 0, "flow");
+    f.sim.after(SimTime::zero(), [&f] { f.log.push_back("after"); });
+    if (!flow_first) f.flow(a, b, 0, "flow");
+    f.sim.run();
+    EXPECT_EQ(f.log, flow_first ? (std::vector<std::string>{"flow", "after"})
+                                : (std::vector<std::string>{"after", "flow"}));
+    EXPECT_EQ(f.sim.now(), SimTime::zero());
+    EXPECT_EQ(f.sim.events_executed(), 2u);
+  }
+}
+
+TEST(NetworkOrder, ReleveledFlowTiesWithAnotherFlowBySetOrder) {
+  // y shares c's uplink with z until z is cancelled at 0.5 s; y then runs
+  // alone and finishes at exactly 1.0 s: 3.125 MB at 6.25 MB/s, then
+  // 6.25 MB at 12.5 MB/s. x finishes at 1.0 s too. Whichever deadline was
+  // set first fires first.
+  for (const bool x_first : {true, false}) {
+    OrderFixture f;
+    const NodeId a = f.add(100, 100);
+    const NodeId b = f.add(100, 100);
+    const NodeId c = f.add(100, 100);
+    const NodeId d = f.add(100, 100);
+    const NodeId e = f.add(100, 100);
+    f.flow(c, d, 9'375'000, "y");
+    const FlowId z = f.flow(c, e, 12'500'000, "z");
+    if (x_first) f.flow(a, b, 12'500'000, "x");  // 1 s alone, set at 0
+    f.sim.at(SimTime::millis(500), [&] {
+      f.net.cancel_flow(z);                          // re-levels y now
+      if (!x_first) f.flow(a, b, 6'250'000, "x");  // 0.5 s, set after y
+    });
+    f.sim.run();
+    EXPECT_EQ(f.log, x_first ? (std::vector<std::string>{"x", "y"})
+                             : (std::vector<std::string>{"y", "x"}));
+    EXPECT_EQ(f.sim.now(), SimTime::seconds(1));
+    EXPECT_EQ(f.sim.events_executed(), 3u);
+  }
+}
+
+TEST(NetworkOrder, CancelOfTheEarliestFlowLeavesTheRestOnTime) {
+  OrderFixture f;
+  const NodeId a = f.add(100, 100);
+  const NodeId b = f.add(100, 100);
+  const NodeId c = f.add(100, 100);
+  const NodeId d = f.add(100, 100);
+  const FlowId first = f.flow(a, b, 12'500'000, "first");  // 1 s
+  f.flow(c, d, 25'000'000, "second");                     // 2 s
+  f.event(SimTime::millis(500), "cancel");
+  f.sim.at(SimTime::millis(500), [&] { f.net.cancel_flow(first); });
+  f.event(SimTime::millis(1500), "tick");
+  f.sim.run();
+  EXPECT_EQ(f.log, (std::vector<std::string>{"cancel", "tick", "second"}));
+  EXPECT_EQ(f.sim.now(), SimTime::seconds(2));
+  EXPECT_EQ(f.sim.events_executed(), 4u);
+}
+
+TEST(NetworkOrder, DestroyedWhileAFlowIsPendingLeavesTheSimulationRunning) {
+  sim::Simulation sim(1);
+  bool completed = false;
+  {
+    Network net(sim);
+    const NodeId a = net.add_node({});
+    const NodeId b = net.add_node({});
+    FlowSpec fs;
+    fs.src = a;
+    fs.dst = b;
+    fs.bytes = 12'500'000;
+    fs.on_complete = [&] { completed = true; };
+    net.start_flow(std::move(fs));
+  }
+  bool later = false;
+  sim.after(SimTime::seconds(2), [&] { later = true; });
+  sim.run();
+  EXPECT_FALSE(completed);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(NetworkOrder, ReallocationCostsConstantQueueOperations) {
+  // 50 flows out of one uplink: each start re-levels every flow already
+  // running, but the network's milestones share one queue entry, so queue
+  // operations grow with starts and completions, not with re-leveled flows.
+  Fixture f;
+  f.net.set_check_alloc(true);
+  const NodeId server = f.add(100, 100);
+  int done = 0;
+  for (int i = 0; i < 50; ++i) {
+    FlowSpec fs;
+    fs.src = server;
+    fs.dst = f.add(100, 100);
+    fs.bytes = 1'000'000 + 10'000 * i;
+    fs.on_complete = [&] { ++done; };
+    f.net.start_flow(std::move(fs));
+  }
+  f.sim.run();
+  EXPECT_EQ(done, 50);
+  EXPECT_EQ(f.sim.events_executed(), 50u);
+  EXPECT_LE(f.sim.events_scheduled(), 2u * 50u + 1u);
+  EXPECT_LE(f.sim.events_cancelled(), 50u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstddef>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -242,6 +243,23 @@ TEST(Metrics, MergeFromRejectsMismatchedHistogramBounds) {
 }
 
 // --- EventBus --------------------------------------------------------------
+
+TEST(Metrics, PeakRssCoversCurrentResidentSet) {
+  // The peak is this process image's own high-water mark (VmHWM), so it
+  // can never be below the resident set right now, here after touching a
+  // fresh 8 MB buffer.
+  std::ifstream status("/proc/self/status");
+  if (!status) GTEST_SKIP() << "no /proc/self/status";
+  std::vector<char> ballast(8 << 20, 1);
+  ASSERT_EQ(ballast[ballast.size() / 2], 1);
+  std::int64_t rss_kib = -1;
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) rss_kib = std::stoll(line.substr(6));
+  }
+  ASSERT_GT(rss_kib, 0);
+  EXPECT_GE(obs::peak_rss_bytes(), rss_kib * 1024);
+  EXPECT_GE(obs::peak_rss_bytes(), static_cast<std::int64_t>(ballast.size()));
+}
 
 TEST(Events, InactiveBusIsSilentAndCheap) {
   EXPECT_FALSE(obs::EventBus::instance().active());

@@ -1,13 +1,15 @@
 // Tests for the discrete-event engine: queue ordering, cancellation,
-// run-loop control, and the trace recorder.
+// run-loop control, the timer heap, and the trace recorder.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
+#include "sim/timer_heap.h"
 #include "sim/trace.h"
 
 namespace vcmr::sim {
@@ -148,6 +150,139 @@ TEST(Simulation, EventsExecutedCounter) {
 TEST(Simulation, RngStreamsStableAcrossInstances) {
   Simulation a(77), b(77);
   EXPECT_EQ(a.rng_stream("x").next_u64(), b.rng_stream("x").next_u64());
+}
+
+TEST(Simulation, CountsSchedulesAndPendingCancels) {
+  Simulation sim;
+  const EventHandle a = sim.after(SimTime::seconds(1), [] {});
+  sim.after(SimTime::seconds(2), [] {});
+  sim.cancel(a);
+  sim.cancel(a);              // already cancelled: not counted again
+  sim.cancel(EventHandle{});  // inert: not counted
+  sim.run();
+  EXPECT_EQ(sim.events_scheduled(), 2u);
+  EXPECT_EQ(sim.events_cancelled(), 1u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+// --- TimerHeap ---------------------------------------------------------------
+
+struct Item {
+  int id = 0;
+  Timer timer;
+};
+
+struct TimerFixture {
+  Simulation sim;
+  std::vector<std::string> log;
+  TimerHeap<Item, &Item::timer> heap{
+      sim, [this](Item& it) { log.push_back("item" + std::to_string(it.id)); }};
+  void event(SimTime at, std::string name) {
+    sim.at(at, [this, name] { log.push_back(name); });
+  }
+};
+
+TEST(TimerHeap, ReservedSeqSortsWhereAnEventScheduledThenWould) {
+  // Same microsecond throughout: the item's deadline fires after the event
+  // scheduled before set() and before the one scheduled after it.
+  TimerFixture f;
+  Item it{1, {}};
+  const SimTime t = SimTime::seconds(1);
+  f.event(t, "earlier");
+  f.heap.set(it, t);
+  f.event(t, "later");
+  f.sim.run();
+  EXPECT_EQ(f.log, (std::vector<std::string>{"earlier", "item1", "later"}));
+  EXPECT_EQ(f.sim.events_executed(), 3u);
+}
+
+TEST(TimerHeap, EachDueItemIsItsOwnEventInterleavedWithOthers) {
+  TimerFixture f;
+  Item a{1, {}}, b{2, {}}, c{3, {}};
+  const SimTime t = SimTime::seconds(1);
+  f.heap.set(a, t);
+  f.event(t, "x");
+  f.heap.set(b, t);
+  f.heap.set(c, SimTime::millis(500));
+  f.sim.run();
+  EXPECT_EQ(f.log, (std::vector<std::string>{"item3", "item1", "x", "item2"}));
+  EXPECT_EQ(f.sim.events_executed(), 4u);
+}
+
+TEST(TimerHeap, ResetDrawsAFreshSeqAndEraseWithdraws) {
+  TimerFixture f;
+  Item a{1, {}}, b{2, {}};
+  const SimTime t = SimTime::seconds(1);
+  f.heap.set(a, t);
+  f.heap.set(b, SimTime::seconds(2));
+  f.event(t, "x");
+  f.heap.set(a, t);  // same instant, new seq: now after "x"
+  f.heap.erase(b);
+  f.heap.erase(b);   // not pending: no-op
+  EXPECT_FALSE(f.heap.contains(b));
+  f.heap.check();
+  f.sim.run();
+  EXPECT_EQ(f.log, (std::vector<std::string>{"x", "item1"}));
+}
+
+TEST(TimerHeap, OneQueueEntryForManyDeadlines) {
+  TimerFixture f;
+  std::vector<Item> items(100);
+  {
+    const TimerHeap<Item, &Item::timer>::Batch batch(f.heap);
+    for (int i = 0; i < 100; ++i) {
+      items[static_cast<std::size_t>(i)].id = i;
+      f.heap.set(items[static_cast<std::size_t>(i)],
+                 SimTime::seconds(100 - i));
+    }
+  }
+  f.heap.check();
+  EXPECT_EQ(f.sim.events_scheduled(), 1u);
+  f.sim.run();
+  ASSERT_EQ(f.log.size(), 100u);
+  EXPECT_EQ(f.log.front(), "item99");
+  EXPECT_EQ(f.log.back(), "item0");
+  EXPECT_EQ(f.sim.events_executed(), 100u);
+  // The armed entry is re-queued after each firing, never cancelled.
+  EXPECT_EQ(f.sim.events_scheduled(), 100u);
+  EXPECT_EQ(f.sim.events_cancelled(), 0u);
+}
+
+TEST(TimerHeap, HandlerMayResetOtherItems) {
+  TimerFixture f;
+  Item a{1, {}}, b{2, {}};
+  TimerHeap<Item, &Item::timer> heap(f.sim, [&](Item& it) {
+    f.log.push_back("item" + std::to_string(it.id));
+    if (it.id == 1) heap.set(b, f.sim.now());  // pull b forward
+  });
+  heap.set(a, SimTime::seconds(1));
+  heap.set(b, SimTime::seconds(5));
+  f.event(SimTime::seconds(1), "x");
+  f.sim.run();
+  EXPECT_EQ(f.log, (std::vector<std::string>{"item1", "x", "item2"}));
+  EXPECT_EQ(f.sim.now(), SimTime::seconds(1));
+}
+
+TEST(TimerHeap, DestroyedWhileArmedWithdrawsItsEvent) {
+  Simulation sim;
+  int fired = 0;
+  Item it{1, {}};
+  {
+    TimerHeap<Item, &Item::timer> heap(sim, [&](Item&) { ++fired; });
+    heap.set(it, SimTime::seconds(1));
+  }
+  sim.after(SimTime::seconds(2), [] {});
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(TimerHeap, RejectsPastDeadlines) {
+  TimerFixture f;
+  Item it{1, {}};
+  f.event(SimTime::seconds(2), "x");
+  f.sim.run();
+  EXPECT_THROW(f.heap.set(it, SimTime::seconds(1)), Error);
 }
 
 TEST(Trace, PointsAndSpans) {

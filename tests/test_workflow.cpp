@@ -475,5 +475,32 @@ TEST(ScenarioFiles, IterativePagerankConvergesUnderThreshold) {
   EXPECT_LT(rank.iterations, 12);
 }
 
+// Machine-independent cost gate for the event queue: the Table I-shaped
+// BOINC-MR job pins its executed-event count and bounds the queue
+// operations spent per executed event. With one queue entry per flow
+// milestone, every rate change in the all-to-all shuffle's component
+// cancelled and rescheduled every affected flow (about 23 schedules and 22
+// cancels per executed event); with the network's milestones on one
+// sim::TimerHeap, a reallocation costs O(1) queue operations.
+TEST(ScenarioFiles, BoincMrTable1RowStaysWithinQueueBudget) {
+  core::Cluster cluster(load_scenario_file("boincmr_20_20_5.xml"));
+  const core::RunOutcome out = cluster.run_job();
+  ASSERT_TRUE(out.metrics.completed);
+
+  const sim::Simulation& sim = cluster.simulation();
+  const double executed = static_cast<double>(sim.events_executed());
+  const double scheduled = static_cast<double>(sim.events_scheduled());
+  const double cancelled = static_cast<double>(sim.events_cancelled());
+  EXPECT_EQ(sim.events_executed(), 2274u);
+  EXPECT_LE(scheduled / executed, 2.0)
+      << sim.events_scheduled() << " scheduled";
+  EXPECT_LE(cancelled / executed, 1.0)
+      << sim.events_cancelled() << " cancelled";
+  // Every executed event was scheduled once; the rest were cancelled or
+  // are still pending at the end of the job.
+  EXPECT_GE(sim.events_scheduled(),
+            sim.events_executed() + sim.events_cancelled());
+}
+
 }  // namespace
 }  // namespace vcmr
