@@ -46,7 +46,8 @@ void BM_WordCountMapTask(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_WordCountMapTask)->Arg(64 << 10)->Arg(1 << 20);
+// 10,000 bytes is the perfbench many_tasks chunk (4 MB over 400 maps).
+BENCHMARK(BM_WordCountMapTask)->Arg(10000)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_WordCountReduceTask(benchmark::State& state) {
   WordCountApp app;
@@ -59,6 +60,24 @@ void BM_WordCountReduceTask(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * map.partitions[0].size);
 }
 BENCHMARK(BM_WordCountReduceTask);
+
+// The many_tasks reduce: one partition of 400 map outputs (a 4 MB corpus
+// split into 400 chunks, 10 reducers).
+void BM_WordCountReduce400Inputs(benchmark::State& state) {
+  WordCountApp app;
+  std::vector<FilePayload> inputs;
+  Bytes bytes = 0;
+  for (const auto& chunk : split_text(corpus_of(4 * 1000 * 1000), 400)) {
+    const auto map = run_map_task(app, FilePayload::of_content(chunk), 10, "b");
+    inputs.push_back(map.partitions[0]);
+    bytes += map.partitions[0].size;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_reduce_task(app, inputs, "bench"));
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_WordCountReduce400Inputs);
 
 void BM_LocalRuntime(benchmark::State& state) {
   register_builtin_apps();

@@ -26,8 +26,9 @@
 // seed-sweep benches, this bench's rows ARE wall-clock measurements
 // (events/s, wall/sim-sec, RSS), so concurrent rows contend for CPU and
 // inflate each other's readings; the deterministic fields (hosts,
-// alloc_mode, sim_seconds, events_executed) stay identical. The committed
-// BENCH_SCALE.json and CI's performance assertions use `--jobs 1`.
+// alloc_mode, sim_seconds, events_executed) stay identical. So the rows
+// run one after another unless `--jobs N` asks otherwise; the committed
+// BENCH_SCALE.json and CI's performance assertions use that default.
 
 #include <chrono>
 #include <cstdlib>
@@ -313,7 +314,7 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
 
 int main(int argc, char** argv) {
   vcmr::bench::silence_logs();
-  const int jobs = vcmr::bench::parse_jobs_flag(argc, argv);
+  const int jobs = vcmr::bench::parse_jobs_flag(argc, argv, /*default_jobs=*/1);
   const int max_hosts = argc > 1 ? std::atoi(argv[1]) : 100000;
   const char* trace = argc > 2 ? argv[2] : "scenarios/traces/seti_day.csv";
   const char* out = argc > 3 ? argv[3] : "BENCH_SCALE.json";

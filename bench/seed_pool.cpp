@@ -54,8 +54,8 @@ void SeedPool::run_indexed(int n, const std::function<void(int)>& body) {
   }
 }
 
-int parse_jobs_flag(int& argc, char** argv) {
-  int jobs = SeedPool::default_jobs();
+int parse_jobs_flag(int& argc, char** argv, int default_jobs) {
+  int jobs = default_jobs;
   int w = 1;
   for (int r = 1; r < argc; ++r) {
     const char* arg = argv[r];

@@ -116,8 +116,11 @@ class SeedPool {
 };
 
 /// Strips `--jobs N` / `--jobs=N` from argv (so positional argument
-/// handling in the benches is untouched) and returns N; default_jobs()
-/// when the flag is absent. Malformed or < 1 values exit(2).
-int parse_jobs_flag(int& argc, char** argv);
+/// handling in the benches is untouched) and returns N; `default_jobs`
+/// (every core unless the bench says otherwise) when the flag is absent.
+/// Benches whose rows are wall-clock readings pass 1, so rows do not
+/// contend for cores unless asked to. Malformed or < 1 values exit(2).
+int parse_jobs_flag(int& argc, char** argv,
+                    int default_jobs = SeedPool::default_jobs());
 
 }  // namespace vcmr::bench

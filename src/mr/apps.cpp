@@ -1,6 +1,7 @@
 #include "mr/apps.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <set>
 
@@ -11,13 +12,31 @@ namespace vcmr::mr {
 
 namespace {
 
+/// The tokenizer's byte table: tolower(b) for the bytes isalnum accepts,
+/// 0 for separators. Built once from the C library's classification in
+/// the program's locale ("C": nothing calls setlocale).
+const std::array<char, 256>& word_bytes() {
+  static const std::array<char, 256> table = [] {
+    std::array<char, 256> t{};
+    for (int b = 0; b < 256; ++b) {
+      if (std::isalnum(b)) {
+        t[static_cast<std::size_t>(b)] = static_cast<char>(std::tolower(b));
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
 /// Calls fn(word) for each maximal alphanumeric run, lowercased.
 template <class Fn>
 void for_each_word(std::string_view chunk, Fn&& fn) {
+  const std::array<char, 256>& bytes = word_bytes();
   std::string word;
   for (const char c : chunk) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      word += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    const char lower = bytes[static_cast<unsigned char>(c)];
+    if (lower != 0) {
+      word += lower;
     } else if (!word.empty()) {
       fn(word);
       word.clear();

@@ -1,5 +1,8 @@
 #include "mr/task.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/error.h"
 #include "mr/keyvalue.h"
 #include "mr/partition.h"
@@ -15,20 +18,21 @@ common::Digest128 modelled_digest(std::string_view tag, int sub = -1) {
   return h.digest();
 }
 
-/// Applies the app's combiner to a bucket of records when it has one.
+/// Applies the app's combiner to the map output when it has one.
 std::vector<KeyValue> maybe_combine(const MapReduceApp& app,
                                     std::vector<KeyValue> records,
                                     bool use_combiner) {
   if (!use_combiner) return records;
+  std::vector<KeyValueView> views;
+  views.reserve(records.size());
+  for (const auto& kv : records) views.push_back({kv.key, kv.value});
   Emitter out;
-  bool any = false;
-  for (auto& [key, values] : group_by_key(records)) {
-    Emitter one;
-    if (!app.combine(key, values, one)) return records;  // no combiner
-    any = true;
-    for (auto& kv : one.take()) out.emit(std::move(kv.key), std::move(kv.value));
-  }
-  return any ? out.take() : records;
+  const bool combined = for_each_group(
+      views, [&](const std::string& key, const std::vector<std::string>& values) {
+        return app.combine(key, values, out);
+      });
+  if (!combined) return records;  // no combiner
+  return out.take();
 }
 
 }  // namespace
@@ -47,18 +51,26 @@ MapTaskResult run_map_task(const MapReduceApp& app, const FilePayload& input,
     std::vector<KeyValue> records =
         maybe_combine(app, emitter.take(), use_combiner);
 
-    std::vector<std::vector<KeyValue>> buckets(
-        static_cast<std::size_t>(n_reducers));
-    for (auto& kv : records) {
-      buckets[static_cast<std::size_t>(partition_of(kv.key, n_reducers))]
-          .push_back(std::move(kv));
+    // Each record goes to the partition its key hashes to, in record
+    // order; payloads are sized exactly before they are written.
+    const auto n_parts = static_cast<std::size_t>(n_reducers);
+    std::vector<std::uint32_t> part_of(records.size());
+    std::vector<std::size_t> part_bytes(n_parts, 0);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const KeyValue& kv = records[i];
+      const auto p = static_cast<std::uint32_t>(partition_of(kv.key, n_reducers));
+      part_of[i] = p;
+      part_bytes[p] += kv.key.size() + kv.value.size() + 2;
+    }
+    std::vector<std::string> payloads(n_parts);
+    for (std::size_t p = 0; p < n_parts; ++p) payloads[p].reserve(part_bytes[p]);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      append_kv(payloads[part_of[i]], records[i].key, records[i].value);
     }
     common::Hasher all;
-    for (int p = 0; p < n_reducers; ++p) {
-      std::string payload = serialize_kvs(buckets[static_cast<std::size_t>(p)]);
-      all.update(payload);
-      res.partitions[static_cast<std::size_t>(p)] =
-          FilePayload::of_content(std::move(payload));
+    for (std::size_t p = 0; p < n_parts; ++p) {
+      all.update(payloads[p]);
+      res.partitions[p] = FilePayload::of_content(std::move(payloads[p]));
     }
     res.digest = all.digest();
     return res;
@@ -90,16 +102,26 @@ ReduceTaskResult run_reduce_task(const MapReduceApp& app,
   res.flops = app.cost().reduce_flops_per_byte * static_cast<double>(total_in);
 
   if (all_materialised) {
-    std::vector<KeyValue> records;
+    // Records borrow the payloads' bytes; one slot per line is enough.
+    std::size_t lines = 0;
     for (const auto& in : inputs) {
-      auto kvs = parse_kvs(*in.content);
-      records.insert(records.end(), std::make_move_iterator(kvs.begin()),
-                     std::make_move_iterator(kvs.end()));
+      lines += static_cast<std::size_t>(
+          std::count(in.content->begin(), in.content->end(), '\n')) + 1;
+    }
+    std::vector<KeyValueView> records;
+    records.reserve(lines);
+    for (const auto& in : inputs) {
+      for_each_kv_line(*in.content, [&records](std::string_view key,
+                                               std::string_view value) {
+        records.push_back({key, value});
+      });
     }
     Emitter out;
-    for (auto& [key, values] : group_by_key(records)) {
+    for_each_group(records, [&](const std::string& key,
+                                const std::vector<std::string>& values) {
       app.reduce(key, values, out);
-    }
+      return true;
+    });
     res.output = FilePayload::of_content(serialize_kvs(out.records()));
     res.digest = res.output.digest;
     return res;

@@ -1,9 +1,15 @@
 // Tests for the MapReduce framework: KV wire format, partitioning, input
-// splitting, corpus generation, task execution in both modes, and the apps.
+// splitting, corpus generation, task execution in both modes, the apps,
+// and the reference suite that pins the flat map/combine/reduce kernel to
+// the std::map execution path it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <map>
+#include <memory>
+#include <set>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -11,11 +17,112 @@
 #include "mr/apps.h"
 #include "mr/dataset.h"
 #include "mr/keyvalue.h"
+#include "mr/local_runtime.h"
 #include "mr/partition.h"
 #include "mr/task.h"
 
 namespace vcmr::mr {
 namespace {
+
+// --- Reference kernel ---------------------------------------------------------
+//
+// The materialised execution path before the flat kernel, kept verbatim:
+// parse_kvs builds a KeyValue per line, group_by_key copies every record
+// into a std::map, the combiner runs into a fresh Emitter per key, and
+// records are moved into per-reducer buckets before serialising.
+
+std::vector<KeyValue> reference_parse_kvs(std::string_view payload) {
+  std::vector<KeyValue> out;
+  std::size_t pos = 0;
+  while (pos < payload.size()) {
+    std::size_t eol = payload.find('\n', pos);
+    if (eol == std::string_view::npos) eol = payload.size();
+    const std::string_view line = payload.substr(pos, eol - pos);
+    pos = eol + 1;
+    const std::size_t sep = line.find(' ');
+    if (sep == std::string_view::npos || sep == 0) continue;
+    out.push_back({std::string(line.substr(0, sep)),
+                   std::string(line.substr(sep + 1))});
+  }
+  return out;
+}
+
+std::map<std::string, std::vector<std::string>> group_by_key(
+    const std::vector<KeyValue>& kvs) {
+  std::map<std::string, std::vector<std::string>> out;
+  for (const auto& kv : kvs) out[kv.key].push_back(kv.value);
+  return out;
+}
+
+std::vector<KeyValue> reference_maybe_combine(const MapReduceApp& app,
+                                              std::vector<KeyValue> records,
+                                              bool use_combiner) {
+  if (!use_combiner) return records;
+  Emitter out;
+  bool any = false;
+  for (auto& [key, values] : group_by_key(records)) {
+    Emitter one;
+    if (!app.combine(key, values, one)) return records;  // no combiner
+    any = true;
+    for (auto& kv : one.take()) out.emit(std::move(kv.key), std::move(kv.value));
+  }
+  return any ? out.take() : records;
+}
+
+MapTaskResult reference_map_task(const MapReduceApp& app,
+                                 const FilePayload& input, int n_reducers,
+                                 bool use_combiner = true) {
+  require(input.materialised(), "reference_map_task: materialised only");
+  MapTaskResult res;
+  res.flops = app.cost().map_flops_per_byte * static_cast<double>(input.size);
+  res.partitions.resize(static_cast<std::size_t>(n_reducers));
+
+  Emitter emitter;
+  app.map(*input.content, emitter);
+  std::vector<KeyValue> records =
+      reference_maybe_combine(app, emitter.take(), use_combiner);
+
+  std::vector<std::vector<KeyValue>> buckets(
+      static_cast<std::size_t>(n_reducers));
+  for (auto& kv : records) {
+    buckets[static_cast<std::size_t>(partition_of(kv.key, n_reducers))]
+        .push_back(std::move(kv));
+  }
+  common::Hasher all;
+  for (int p = 0; p < n_reducers; ++p) {
+    std::string payload = serialize_kvs(buckets[static_cast<std::size_t>(p)]);
+    all.update(payload);
+    res.partitions[static_cast<std::size_t>(p)] =
+        FilePayload::of_content(std::move(payload));
+  }
+  res.digest = all.digest();
+  return res;
+}
+
+ReduceTaskResult reference_reduce_task(const MapReduceApp& app,
+                                       const std::vector<FilePayload>& inputs) {
+  ReduceTaskResult res;
+  Bytes total_in = 0;
+  for (const auto& in : inputs) {
+    require(in.materialised(), "reference_reduce_task: materialised only");
+    total_in += in.size;
+  }
+  res.flops = app.cost().reduce_flops_per_byte * static_cast<double>(total_in);
+
+  std::vector<KeyValue> records;
+  for (const auto& in : inputs) {
+    auto kvs = reference_parse_kvs(*in.content);
+    records.insert(records.end(), std::make_move_iterator(kvs.begin()),
+                   std::make_move_iterator(kvs.end()));
+  }
+  Emitter out;
+  for (auto& [key, values] : group_by_key(records)) {
+    app.reduce(key, values, out);
+  }
+  res.output = FilePayload::of_content(serialize_kvs(out.records()));
+  res.digest = res.output.digest;
+  return res;
+}
 
 TEST(KeyValue, SerializeParseRoundTrip) {
   const std::vector<KeyValue> kvs{{"alpha", "1"}, {"beta", "2 extra"}, {"g", ""}};
@@ -44,6 +151,81 @@ TEST(KeyValue, GroupByKey) {
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups.at("a"), (std::vector<std::string>{"2", "4"}));
   EXPECT_EQ(groups.at("b"), (std::vector<std::string>{"1", "3"}));
+}
+
+using Groups = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+Groups groups_of(const std::vector<KeyValue>& kvs) {
+  std::vector<KeyValueView> views;
+  for (const auto& kv : kvs) views.push_back({kv.key, kv.value});
+  Groups out;
+  EXPECT_TRUE(for_each_group(views, [&out](const std::string& key,
+                                           const std::vector<std::string>& vs) {
+    out.emplace_back(key, vs);
+    return true;
+  }));
+  return out;
+}
+
+TEST(KeyValue, ForEachGroupKeysAscendingValuesInRecordOrder) {
+  const Groups groups =
+      groups_of({{"b", "1"}, {"a", "2"}, {"b", "3"}, {"a", "4"}, {"c", ""}});
+  const Groups want{{"a", {"2", "4"}}, {"b", {"1", "3"}}, {"c", {""}}};
+  EXPECT_EQ(groups, want);
+  EXPECT_TRUE(groups_of({}).empty());
+}
+
+TEST(KeyValue, ForEachGroupOrdersBytesAsStdString) {
+  // std::string orders bytes as unsigned char: 0x80+ sorts after ASCII,
+  // and a prefix before its extensions.
+  const std::vector<KeyValue> kvs{{"\xff", "1"}, {"ab", "2"}, {"a", "3"},
+                                  {"\x80z", "4"}, {"B", "5"}, {"a", "6"}};
+  const Groups groups = groups_of(kvs);
+  const auto ref = group_by_key(kvs);
+  ASSERT_EQ(groups.size(), ref.size());
+  std::size_t i = 0;
+  for (const auto& [key, values] : ref) {
+    EXPECT_EQ(groups[i].first, key);
+    EXPECT_EQ(groups[i].second, values);
+    ++i;
+  }
+}
+
+TEST(KeyValue, ForEachGroupMatchesMapOnRandomRecords) {
+  common::Rng rng(3);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<KeyValue> kvs;
+    const int n = static_cast<int>(rng.uniform_int(0, 3000));
+    const int keyspace = static_cast<int>(rng.uniform_int(1, 500));
+    for (int i = 0; i < n; ++i) {
+      const auto k = rng.uniform_int(0, keyspace);
+      kvs.push_back({"k" + std::to_string(k * 7919 % 1009),
+                     std::string(static_cast<std::size_t>(k % 40), 'v') +
+                         std::to_string(i)});
+    }
+    const Groups groups = groups_of(kvs);
+    const auto ref = group_by_key(kvs);
+    ASSERT_EQ(groups.size(), ref.size());
+    std::size_t i = 0;
+    for (const auto& [key, values] : ref) {
+      ASSERT_EQ(groups[i].first, key);
+      ASSERT_EQ(groups[i].second, values);
+      ++i;
+    }
+  }
+}
+
+TEST(KeyValue, ForEachGroupStopsWhenFnReturnsFalse) {
+  const std::vector<KeyValue> kvs{{"c", "1"}, {"a", "2"}, {"b", "3"}};
+  std::vector<KeyValueView> views;
+  for (const auto& kv : kvs) views.push_back({kv.key, kv.value});
+  std::vector<std::string> seen;
+  EXPECT_FALSE(for_each_group(views, [&seen](const std::string& key,
+                                             const std::vector<std::string>&) {
+    seen.push_back(key);
+    return key != "b";
+  }));
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Partition, StableAndInRange) {
@@ -348,6 +530,263 @@ TEST(Task, CombinerShrinksWordCountOutput) {
   const MapTaskResult without =
       run_map_task(app, input, 1, "t", /*use_combiner=*/false);
   EXPECT_LT(with.partitions[0].size, without.partitions[0].size / 10);
+}
+
+
+// --- Reference suite: the flat kernel against the std::map path --------------
+
+/// Reduce emits each key's values verbatim, joined by '|'; map re-emits its
+/// input lines; the combiner concatenates too, but declines (returns false)
+/// at the first key >= `decline_from`.
+class EchoApp : public MapReduceApp {
+ public:
+  explicit EchoApp(std::string decline_from = "\xff\xff")
+      : decline_from_(std::move(decline_from)) {}
+  std::string name() const override { return "echo"; }
+  void map(std::string_view chunk, Emitter& out) const override {
+    for (auto& kv : parse_kvs(chunk)) out.emit(kv.key, kv.value);
+  }
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) const override {
+    std::string joined;
+    for (const auto& v : values) joined += "|" + v;
+    out.emit(key, joined);
+  }
+  bool combine(const std::string& key, const std::vector<std::string>& values,
+               Emitter& out) const override {
+    reduce(key, values, out);
+    return key < decline_from_;
+  }
+
+ private:
+  std::string decline_from_;
+};
+
+enum class InputKind { kText, kCounts, kGraph };
+
+struct AppCase {
+  std::shared_ptr<const MapReduceApp> app;
+  InputKind input;
+};
+
+/// Every built-in app; the grep patterns are syllables of the synthetic
+/// corpus, so both grep flavours see matches.
+std::vector<AppCase> builtin_apps() {
+  return {{std::make_shared<WordCountApp>(), InputKind::kText},
+          {std::make_shared<GrepApp>("ce"), InputKind::kText},
+          {std::make_shared<InvertedIndexApp>(), InputKind::kText},
+          {std::make_shared<CountRangeApp>(), InputKind::kCounts},
+          {std::make_shared<GrepBloomApp>("ce", 512), InputKind::kText},
+          {std::make_shared<PageRankApp>(), InputKind::kGraph},
+          {std::make_shared<LengthHistogramApp>(), InputKind::kText}};
+}
+
+std::string context(const MapReduceApp& app, int n_reducers, bool combiner) {
+  return app.name() + " R=" + std::to_string(n_reducers) +
+         (combiner ? " combiner" : " no combiner");
+}
+
+void expect_same_map(const MapTaskResult& got, const MapTaskResult& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.partitions.size(), want.partitions.size()) << what;
+  for (std::size_t p = 0; p < want.partitions.size(); ++p) {
+    ASSERT_TRUE(got.partitions[p].materialised()) << what;
+    EXPECT_EQ(*got.partitions[p].content, *want.partitions[p].content)
+        << what << " partition " << p;
+    EXPECT_EQ(got.partitions[p].digest, want.partitions[p].digest) << what;
+    EXPECT_EQ(got.partitions[p].size, want.partitions[p].size) << what;
+  }
+  EXPECT_EQ(got.digest, want.digest) << what;
+  EXPECT_EQ(got.flops, want.flops) << what;
+}
+
+void expect_same_reduce(const ReduceTaskResult& got,
+                        const ReduceTaskResult& want, const std::string& what) {
+  ASSERT_TRUE(got.output.materialised()) << what;
+  EXPECT_EQ(*got.output.content, *want.output.content) << what;
+  EXPECT_EQ(got.digest, want.digest) << what;
+  EXPECT_EQ(got.output.size, want.output.size) << what;
+  EXPECT_EQ(got.flops, want.flops) << what;
+}
+
+/// Map over every chunk and reduce every partition on both paths; returns
+/// the reference reduce outputs.
+std::vector<std::string> expect_same_job(const MapReduceApp& app,
+                                         const std::vector<std::string>& chunks,
+                                         int n_reducers, bool combiner) {
+  const std::string what = context(app, n_reducers, combiner);
+  std::vector<MapTaskResult> maps;
+  for (std::size_t m = 0; m < chunks.size(); ++m) {
+    const auto in = FilePayload::of_content(chunks[m]);
+    maps.push_back(reference_map_task(app, in, n_reducers, combiner));
+    expect_same_map(run_map_task(app, in, n_reducers, "t", combiner),
+                    maps.back(), what + " map " + std::to_string(m));
+  }
+  std::vector<std::string> outputs;
+  for (int r = 0; r < n_reducers; ++r) {
+    std::vector<FilePayload> inputs;
+    for (const auto& m : maps) {
+      inputs.push_back(m.partitions[static_cast<std::size_t>(r)]);
+    }
+    const ReduceTaskResult want = reference_reduce_task(app, inputs);
+    expect_same_reduce(run_reduce_task(app, inputs, "r"), want,
+                       what + " reduce " + std::to_string(r));
+    outputs.push_back(*want.output.content);
+  }
+  return outputs;
+}
+
+TEST(ReferenceSuite, EveryBuiltinAppOnSeededZipfCorpora) {
+  constexpr int kSeeds = 24;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(static_cast<std::uint64_t>(seed));
+    ZipfOptions opts;
+    opts.vocabulary = 30 + 60 * seed;
+    opts.exponent = 0.9 + 0.05 * (seed % 8);
+    opts.words_per_line = 3 + seed % 10;
+    const std::string text =
+        ZipfCorpus(opts).generate(1500 + 250 * seed, rng);
+    const std::string graph = synthetic_graph(10 + 3 * seed, 1 + seed % 4, rng);
+    const int n_maps = 1 + seed % 4;
+    // Word-count output is count_range's input.
+    WordCountApp wc;
+    std::string counts;
+    for (const auto& out : expect_same_job(wc, split_text(text, n_maps), 3, true)) {
+      counts += out;
+    }
+
+    for (const AppCase& c : builtin_apps()) {
+      const std::string& input = c.input == InputKind::kText     ? text
+                                 : c.input == InputKind::kCounts ? counts
+                                                                 : graph;
+      const std::vector<std::string> chunks = split_text(input, n_maps);
+      for (const int n_reducers : {1, 3, 10}) {
+        for (const bool combiner : {true, false}) {
+          const std::vector<std::string> want =
+              expect_same_job(*c.app, chunks, n_reducers, combiner);
+          LocalJobOptions local;
+          local.n_maps = n_maps;
+          local.n_reducers = n_reducers;
+          local.n_threads = 2;
+          local.use_combiner = combiner;
+          const LocalJobResult got = run_local(*c.app, input, local);
+          EXPECT_EQ(got.reduce_outputs, want)
+              << context(*c.app, n_reducers, combiner) << " run_local";
+          std::vector<KeyValue> merged;
+          for (const auto& out : want) {
+            for (auto& kv : reference_parse_kvs(out)) merged.push_back(kv);
+          }
+          std::sort(merged.begin(), merged.end());
+          EXPECT_EQ(got.output, merged)
+              << context(*c.app, n_reducers, combiner) << " run_local";
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferenceSuite, EmptyAndSeparatorOnlyChunks) {
+  for (const AppCase& c : builtin_apps()) {
+    for (const bool combiner : {true, false}) {
+      expect_same_job(*c.app, {"", "#chunk 3\n", " ,.;\n\t\n  -- !? \n"}, 3,
+                      combiner);
+    }
+  }
+}
+
+TEST(ReferenceSuite, HighBytesMixedCaseAndDigits) {
+  const std::vector<std::string> chunks{
+      "#chunk 1\nHello HELLO hello h3llo 123 007abc ABC\xff\x80zz caf\xc3\xa9\n",
+      "MiXeD\xc3\x89T\xc3\x89 9Lives \x80\x81\xfe \xffQ\xff q 42 42 Zz zZ\n",
+      "#chunk 2\nce cE CE Ce bace ceba\nno pattern here\n"};
+  for (const AppCase& c : builtin_apps()) {
+    if (c.input != InputKind::kText) continue;
+    for (const int n_reducers : {1, 3, 10}) {
+      expect_same_job(*c.app, chunks, n_reducers, true);
+    }
+  }
+}
+
+TEST(ReferenceSuite, MalformedReduceLines) {
+  std::vector<FilePayload> inputs{
+      FilePayload::of_content("noseparator\n 2\nw 1\n\nlast 3"),
+      FilePayload::of_content(" lead 1\nw 2\nx\nw 5\n\n"),
+      FilePayload::of_content("last 4\n\n\n  \nw 6")};
+  for (const AppCase& c : builtin_apps()) {
+    if (c.app->name() == "grep_bloom") continue;  // values are filters
+    expect_same_reduce(run_reduce_task(*c.app, inputs, "r"),
+                       reference_reduce_task(*c.app, inputs), c.app->name());
+  }
+  EchoApp echo;
+  const ReduceTaskResult got = run_reduce_task(echo, inputs, "r");
+  expect_same_reduce(got, reference_reduce_task(echo, inputs), "echo");
+  EXPECT_EQ(*got.output.content, "last |3|4\nw |1|2|5|6\n");
+}
+
+TEST(ReferenceSuite, EmptyValuesAndValuesWithSpaces) {
+  std::vector<FilePayload> inputs{
+      FilePayload::of_content("k \nk a b  c\nj  x\nk  \n"),
+      FilePayload::of_content("j \nk trailing space \nj L|a,b\n")};
+  for (const AppCase& c : builtin_apps()) {
+    if (c.app->name() == "grep_bloom") continue;
+    expect_same_reduce(run_reduce_task(*c.app, inputs, "r"),
+                       reference_reduce_task(*c.app, inputs), c.app->name());
+  }
+  EchoApp echo;
+  const ReduceTaskResult got = run_reduce_task(echo, inputs, "r");
+  expect_same_reduce(got, reference_reduce_task(echo, inputs), "echo");
+  EXPECT_EQ(*got.output.content,
+            "j | x||L|a,b\nk ||a b  c| |trailing space \n");
+  // The same records through map, combiner and partitioning.
+  std::vector<std::string> chunks;
+  for (const auto& in : inputs) chunks.push_back(*in.content);
+  for (const int n_reducers : {1, 3}) {
+    for (const bool combiner : {true, false}) {
+      expect_same_job(echo, chunks, n_reducers, combiner);
+    }
+  }
+}
+
+TEST(ReferenceSuite, CombinerThatReturnsFalseKeepsMapOutput) {
+  const std::string chunk = "z 1\nb 2\nm 3\na 4\nb 5\ny 6\nm 7\n";
+  const auto in = FilePayload::of_content(chunk);
+  // Declines at "m": "a" and "b" were combined first, and are dropped.
+  const EchoApp declines("m");
+  for (const int n_reducers : {1, 3}) {
+    const MapTaskResult got = run_map_task(declines, in, n_reducers, "t", true);
+    expect_same_map(got, reference_map_task(declines, in, n_reducers, true),
+                    "declines at m");
+    expect_same_map(got, run_map_task(declines, in, n_reducers, "t", false),
+                    "declines at m vs no combiner");
+  }
+  EXPECT_EQ(*run_map_task(declines, in, 1, "t", true).partitions[0].content,
+            chunk);
+  // Combines every key: one line per key, ascending.
+  const EchoApp combines;
+  const MapTaskResult all = run_map_task(combines, in, 1, "t", true);
+  expect_same_map(all, reference_map_task(combines, in, 1, true), "combines");
+  EXPECT_EQ(*all.partitions[0].content,
+            "a |4\nb |2|5\nm |3|7\ny |6\nz |1\n");
+}
+
+TEST(ReferenceSuite, TokenizerTableMatchesCLibraryForEveryByte) {
+  // Each byte between two letters either joins them into one lowercased
+  // word or separates them, exactly as std::isalnum/std::tolower say.
+  WordCountApp app;
+  for (int b = 0; b < 256; ++b) {
+    std::string chunk = "xby";
+    chunk[1] = static_cast<char>(b);
+    Emitter out;
+    app.map(chunk, out);
+    std::vector<KeyValue> want;
+    if (std::isalnum(b)) {
+      want.push_back({std::string{'x', static_cast<char>(std::tolower(b)), 'y'}, "1"});
+    } else {
+      want = {{"x", "1"}, {"y", "1"}};
+    }
+    EXPECT_EQ(out.records(), want) << "byte " << b;
+  }
 }
 
 }  // namespace

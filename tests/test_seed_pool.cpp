@@ -142,6 +142,24 @@ TEST(SeedPool, ParseJobsFlagAbsentUsesDefault) {
   EXPECT_STREQ(argv[1], "5");
 }
 
+TEST(SeedPool, ParseJobsFlagTakesTheBenchsDefault) {
+  // bench_scale passes 1: its rows are wall-clock readings.
+  const char* absent[] = {"bench_scale", "1000", nullptr};
+  int argc = 2;
+  EXPECT_EQ(bench::parse_jobs_flag(argc, const_cast<char**>(absent), 1), 1);
+  EXPECT_EQ(argc, 2);
+  EXPECT_STREQ(absent[1], "1000");
+  // An explicit --jobs still wins over the bench's default.
+  const char* explicit_jobs[] = {"bench_scale", "1000", "--jobs", "3", nullptr};
+  argc = 4;
+  EXPECT_EQ(bench::parse_jobs_flag(argc, const_cast<char**>(explicit_jobs), 1), 3);
+  EXPECT_EQ(argc, 2);
+  const char* equals_form[] = {"bench_scale", "--jobs=2", nullptr};
+  argc = 2;
+  EXPECT_EQ(bench::parse_jobs_flag(argc, const_cast<char**>(equals_form), 1), 2);
+  EXPECT_EQ(argc, 1);
+}
+
 TEST(SeedPoolDeathTest, ParseJobsFlagRejectsMalformedValues) {
   const auto parse = [](std::vector<const char*> args) {
     args.push_back(nullptr);
