@@ -237,24 +237,16 @@ void run(int max_hosts, const char* trace_path, const char* out_path,
   points.push_back(Point{baseline_hosts, baseline_hosts >= 10000 ? 5. : 120.,
                          net::AllocMode::kGlobal});
 
-  std::vector<RowResult> results;
-  if (jobs == 1) {
-    // Historical serial path: rows run and stream one at a time, and
-    // their wall-clock readings are uncontended — this is the path the
-    // committed doc and CI's performance assertions are pinned to.
-    results.reserve(points.size());
-    for (const Point& p : points) {
-      results.push_back(run_row(p.hosts, p.sim_s, p.mode, trace));
-      print_row(results.back());
-    }
-  } else {
-    bench::SeedPool pool(jobs);
-    results = pool.map(static_cast<int>(points.size()), [&](int i) {
-      const Point& p = points[static_cast<std::size_t>(i)];
-      return run_row(p.hosts, p.sim_s, p.mode, trace);
-    });
-    for (const RowResult& r : results) print_row(r);
-  }
+  // Each row prints the moment it finishes (in completion order when
+  // --jobs N > 1); the doc below keeps point order.
+  bench::SeedPool pool(jobs);
+  const std::vector<RowResult> results =
+      pool.map(static_cast<int>(points.size()), [&](int i) {
+        const Point& p = points[static_cast<std::size_t>(i)];
+        RowResult r = run_row(p.hosts, p.sim_s, p.mode, trace);
+        print_row(r);
+        return r;
+      });
   RowResult incr_at_baseline;
   for (const RowResult& r : results) {
     if (r.n_hosts == baseline_hosts &&

@@ -13,9 +13,9 @@
 // validated WU), makespan, and invalid-canonical count — checked against a
 // clean reference run's digests — come out as one JSON line per config.
 //
-// `--jobs N` runs the (config, seed) grid on a bench::SeedPool and reduces
-// in seed order; stdout and the BENCH doc stay byte-identical to the
-// `--jobs 1` historical serial loop (only the headline's wall fields vary).
+// `--jobs N` runs the (config, seed) grid on a bench::SeedPool of N workers
+// and reduces in seed order; stdout and the BENCH doc are byte-identical at
+// every N (only the headline's wall fields vary).
 
 #include <chrono>
 #include <map>
@@ -83,8 +83,8 @@ struct QuorumPoint {
   int ok = 0;
 };
 
-/// Folds one seed in seed order; mirrors the historical loop, including the
-/// mid-sweep sanity alert against the cumulative validator counters.
+/// Folds one seed in seed order, including the mid-sweep sanity alert
+/// against the validator counters merged so far.
 void fold_quorum_seed(const QuorumConfig& cfg, const QuorumSeed& r,
                       const obs::MetricsRegistry& cumulative,
                       QuorumPoint* point) {
@@ -148,41 +148,23 @@ void run(int n_seeds, int jobs, std::vector<std::string>& rows,
     }
   }
 
-  if (jobs == 1) {
-    // Historical serial path: one registry scope per config, seeds in
-    // order on this thread; the invalid-result count is read back from
-    // the validator's counters, not a private stat.
-    for (const QuorumConfig& cfg : configs) {
-      obs::ScopedMetricsRegistry metrics;
-      QuorumPoint point;
-      for (int i = 0; i < n_seeds; ++i) {
-        const QuorumSeed r = run_quorum_seed(cfg, i);
-        *points_wall_s += r.wall_s;
-        fold_quorum_seed(cfg, r, metrics.registry(), &point);
-      }
-      emit_quorum_point(cfg, point, n_seeds, metrics.registry(), rows);
+  bench::SeedPool pool(jobs);
+  const int n_configs = static_cast<int>(configs.size());
+  const auto results = pool.map_metered(n_configs * n_seeds, [&](int task) {
+    return run_quorum_seed(configs[static_cast<std::size_t>(task / n_seeds)],
+                           task % n_seeds);
+  });
+  for (int c = 0; c < n_configs; ++c) {
+    const QuorumConfig& cfg = configs[static_cast<std::size_t>(c)];
+    obs::MetricsRegistry merged;
+    QuorumPoint point;
+    for (int i = 0; i < n_seeds; ++i) {
+      const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
+      merged.merge_from(m.metrics);
+      *points_wall_s += m.value.wall_s;
+      fold_quorum_seed(cfg, m.value, merged, &point);
     }
-  } else {
-    bench::SeedPool pool(jobs);
-    const int n_configs = static_cast<int>(configs.size());
-    const auto results =
-        pool.map_metered(n_configs * n_seeds, [&](int task) {
-          return run_quorum_seed(
-              configs[static_cast<std::size_t>(task / n_seeds)],
-              task % n_seeds);
-        });
-    for (int c = 0; c < n_configs; ++c) {
-      const QuorumConfig& cfg = configs[static_cast<std::size_t>(c)];
-      obs::MetricsRegistry merged;
-      QuorumPoint point;
-      for (int i = 0; i < n_seeds; ++i) {
-        const auto& m = results[static_cast<std::size_t>(c * n_seeds + i)];
-        merged.merge_from(m.metrics);
-        *points_wall_s += m.value.wall_s;
-        fold_quorum_seed(cfg, m.value, merged, &point);
-      }
-      emit_quorum_point(cfg, point, n_seeds, merged, rows);
-    }
+    emit_quorum_point(cfg, point, n_seeds, merged, rows);
   }
   std::printf(
       "\nExpected shape: redundancy stays near the replication factor when\n"
@@ -229,7 +211,7 @@ struct AdaptiveConfig {
 
 /// One (config, seed) fleet pair for E7b: the clean reference train plus
 /// the measured churned fleet. All registry reads happen inside the task
-/// (under the per-seed scope), so the pooled path needs no merge.
+/// (under the per-seed scope), so the sweep needs no registry merge.
 struct AdaptiveSeed {
   int jobs_ok = 0;
   bool measured = false;
@@ -320,23 +302,14 @@ void run_adaptive(int n_seeds, int jobs, std::vector<std::string>& rows,
   }
 
   // Per-seed results, config-major: every registry read already happened
-  // inside the task, so serial and pooled paths share one reduction.
-  std::vector<AdaptiveSeed> seeds;
+  // inside the task, so the reduction needs no registry merge.
   const int n_configs = static_cast<int>(configs.size());
-  if (jobs == 1) {
-    seeds.reserve(static_cast<std::size_t>(n_configs * n_seeds));
-    for (const AdaptiveConfig& cfg : configs) {
-      for (int i = 0; i < n_seeds; ++i) {
-        seeds.push_back(run_adaptive_seed(cfg, i));
-      }
-    }
-  } else {
-    bench::SeedPool pool(jobs);
-    seeds = pool.map(n_configs * n_seeds, [&](int task) {
-      return run_adaptive_seed(
-          configs[static_cast<std::size_t>(task / n_seeds)], task % n_seeds);
-    });
-  }
+  bench::SeedPool pool(jobs);
+  const std::vector<AdaptiveSeed> seeds =
+      pool.map(n_configs * n_seeds, [&](int task) {
+        return run_adaptive_seed(
+            configs[static_cast<std::size_t>(task / n_seeds)], task % n_seeds);
+      });
 
   for (int c = 0; c < n_configs; ++c) {
     const AdaptiveConfig& cfg = configs[static_cast<std::size_t>(c)];

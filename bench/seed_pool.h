@@ -18,12 +18,14 @@
 //     (= seed) order — integer counter merges are order-independent and
 //     the floating-point reductions replay the serial loop's operation
 //     order exactly;
-//   - worker threads have a silent thread-local EventBus and their own
-//     log time-provider slot, so no cross-thread observer state exists.
+//   - each simulation records its trace into its own cluster's
+//     TraceRecorder, and worker threads have their own log time-provider
+//     slot, so no cross-thread observer state exists.
 //
-// `--jobs 1` in the benches does NOT use the pool: they keep the literal
-// historical serial loop, which doubles as the reference the parallel
-// path is pinned against (tests/test_seed_pool.cpp, CI byte-compare).
+// `--jobs 1` is a one-worker pool: the benches have one code path, and
+// the committed BENCH_*.json docs are the reference every --jobs value
+// must reproduce row for row (tests/test_seed_pool.cpp pins the pool
+// against a plain serial loop; CI byte-compares the docs).
 
 #include <functional>
 #include <optional>

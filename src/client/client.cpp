@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "mr/task.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 #include "server/jobtracker.h"
 
@@ -76,14 +75,18 @@ void Client::trace_end(std::size_t token) {
   if (trace_) trace_->end_span(token, sim_.now());
 }
 
-void Client::note_backoff(SimTime delay, const char* why) {
+void Client::note_backoff(SimTime delay, const char* why, bool open_span) {
   obs::MetricsRegistry::instance()
       .histogram("client", "backoff_seconds", backoff_histogram_bounds(),
                  {{"host", actor_}})
       .observe(delay.as_seconds());
-  if (obs::EventBus::instance().active()) {
-    obs::publish(sim_.now(), "client", "backoff", actor_,
-                 common::strprintf("%s %.3f", why, delay.as_seconds()));
+  if (!trace_) return;
+  std::string detail = common::strprintf("%s %.3f", why, delay.as_seconds());
+  if (open_span) {
+    backoff_span_ = trace_->begin_span(sim_.now(), actor_, "backoff",
+                                       std::move(detail));
+  } else {
+    trace_->point(sim_.now(), actor_, "backoff", std::move(detail));
   }
 }
 
@@ -270,7 +273,7 @@ void Client::on_rpc_fail(
   const SimTime delay = backoff_.next();
   backoff_until_ = sim_.now() + delay;
   ++stats_.backoffs;
-  note_backoff(delay, "rpc_fail");
+  note_backoff(delay, "rpc_fail", false);
   consider_rpc();
 }
 
@@ -313,8 +316,7 @@ void Client::on_reply(const proto::SchedulerReply& reply, bool requested_work,
       const SimTime delay = backoff_.next();
       backoff_until_ = sim_.now() + delay;
       ++stats_.backoffs;
-      note_backoff(delay, "empty_reply");
-      backoff_span_ = trace_begin("backoff", "");
+      note_backoff(delay, "empty_reply", true);
     } else {
       backoff_.reset();
       backoff_until_ = SimTime::zero();
@@ -875,7 +877,7 @@ void Client::fail_task(Task& task, const std::string& why) {
   log_.warn(actor_, ": task ", task.assign.result_name, " failed: ", why);
   ++stats_.tasks_failed;
   obs::MetricsRegistry::instance().counter("client", "tasks_failed").add();
-  obs::publish(sim_.now(), "client", "task_failed", actor_, why);
+  trace_point("task_failed", why);
   task.report_success = false;
   task.outputs.clear();
   task.pending_uploads.clear();
@@ -973,7 +975,6 @@ void Client::crash() {
   }
   log_.info(actor_, ": crashed at t=", sim_.now().str());
   obs::MetricsRegistry::instance().counter("client", "crashes").add();
-  obs::publish(sim_.now(), "client", "crash", actor_);
   trace_point("crash", "");
 }
 
@@ -984,7 +985,6 @@ void Client::restart() {
   net_.set_online(node_, true);
   next_allowed_rpc_ = sim_.now();
   log_.info(actor_, ": restarted at t=", sim_.now().str());
-  obs::publish(sim_.now(), "client", "restart", actor_);
   trace_point("restart", "");
   consider_rpc();
 }

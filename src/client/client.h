@@ -258,9 +258,10 @@ class Client {
   std::size_t trace_begin(const std::string& label, const std::string& detail);
   void trace_end(std::size_t token);
 
-  /// Telemetry for a freshly drawn backoff delay: per-host histogram plus a
-  /// "backoff" event when an exporter is listening.
-  void note_backoff(SimTime delay, const char* why);
+  /// Telemetry for a freshly drawn backoff delay: the per-host histogram,
+  /// and on the trace a "backoff" entry detailed "<why> <seconds>" — a span
+  /// that the next scheduler RPC closes when `open_span`, else a point.
+  void note_backoff(SimTime delay, const char* why, bool open_span);
 
   sim::Simulation& sim_;
   net::Network& net_;

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::core {
@@ -33,7 +32,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
   server_node_ = net_->add_node(server_cfg);
   project_ =
       std::make_unique<server::Project>(*sim_, *http_, server_node_,
-                                        scenario_.project);
+                                        scenario_.project, trace_sink());
 
   // Volunteer hosts.
   std::vector<client::HostSpec> specs = scenario_.hosts;
@@ -125,7 +124,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
         *sim_, *net_, *http_, project_->storage(),
         project_->scheduler_endpoint(), hrec, spec, registry_,
         establisher_.get(), ccfg,
-        scenario_.record_trace ? &trace_ : nullptr));
+        trace_sink()));
   }
 
   // Extra storage shards: project infrastructure on the server's link
@@ -140,8 +139,6 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     shard_nodes_.push_back(net_->add_node(scfg));
     project_->storage().add_shard(shard_nodes_.back());
   }
-
-  if (scenario_.record_trace) project_->scheduler().set_trace(&trace_);
 
   if (scenario_.flow_failure_rate > 0) {
     net_->set_flow_failure_rate(scenario_.flow_failure_rate);
@@ -191,7 +188,7 @@ Cluster::Cluster(Scenario scenario) : scenario_(std::move(scenario)) {
     hooks.restore_server = [this] { project_->restore_server(); };
     injector_ = std::make_unique<fault::Injector>(
         *sim_, std::move(plan), std::move(hooks), scenario_.n_nodes,
-        scenario_.record_trace ? &trace_ : nullptr);
+        trace_sink());
     if (injector_->wants_message_loss()) {
       net_->set_message_drop_hook(
           [this] { return injector_->drop_message_draw(); });
@@ -307,11 +304,13 @@ RunOutcome Cluster::job_outcome(MrJobId job, bool finished) {
       .set(static_cast<double>(out.server_bytes_received));
   reg.gauge("job", "backoffs", job_label)
       .set(static_cast<double>(out.backoffs));
-  obs::publish(sim_->now(), "cluster",
-               out.metrics.completed
-                   ? "job_completed"
-                   : (out.metrics.failed ? "job_failed" : "job_timeout"),
-               "cluster", "job" + std::to_string(job.value()));
+  if (scenario_.record_trace) {
+    trace_.point(sim_->now(), "cluster",
+                 out.metrics.completed
+                     ? "job_completed"
+                     : (out.metrics.failed ? "job_failed" : "job_timeout"),
+                 "job" + std::to_string(job.value()));
+  }
 
   return out;
 }
@@ -324,7 +323,7 @@ WorkflowRunResult Cluster::run_workflow() {
 
 WorkflowRunResult Cluster::run_workflow(const wf::WorkflowGraph& graph) {
   wf::WorkflowCoordinator coordinator(
-      *sim_, *project_, graph, scenario_.record_trace ? &trace_ : nullptr);
+      *sim_, *project_, graph, trace_sink());
   const double t0 = sim_->now().as_seconds();
   // Same order as run_jobs: submission first (it schedules no events of its
   // own), then the fleet — so a single-node workflow replays a plain
@@ -347,11 +346,12 @@ WorkflowRunResult Cluster::run_workflow(const wf::WorkflowGraph& graph) {
             (res.hit_time_limit ? "timed out" : "FAILED"),
             " (", graph.nodes().size(), " nodes, depth ", graph.depth(),
             ") at t=", sim_->now().str());
-  obs::publish(sim_->now(), "wf",
-               res.completed ? "workflow_completed"
-                             : (res.hit_time_limit ? "workflow_timeout"
-                                                   : "workflow_failed"),
-               "workflow", "");
+  if (scenario_.record_trace) {
+    trace_.point(sim_->now(), "workflow",
+                 res.completed ? "workflow_completed"
+                               : (res.hit_time_limit ? "workflow_timeout"
+                                                     : "workflow_failed"));
+  }
   return res;
 }
 

@@ -180,6 +180,11 @@ class Cluster {
  private:
   /// Starts the project daemons, clients, and churn once per cluster.
   void start_fleet();
+  /// The recorder every component writes to, or null when the scenario
+  /// does not record a trace.
+  sim::TraceRecorder* trace_sink() {
+    return scenario_.record_trace ? &trace_ : nullptr;
+  }
 
   Scenario scenario_;
   std::unique_ptr<sim::Simulation> sim_;

@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::fault {
@@ -177,7 +176,6 @@ void Injector::record(const std::string& label, const std::string& detail) {
   obs::MetricsRegistry::instance()
       .counter("fault", "injections", {{"kind", label}})
       .add();
-  obs::publish(sim_.now(), "fault", label, "fault", detail);
   if (trace_) trace_->point(sim_.now(), "fault", label, detail);
 }
 

@@ -124,7 +124,6 @@ std::int64_t actor_tid(std::map<std::string, std::int64_t>& tids,
 }  // namespace
 
 std::string chrome_trace_json(const sim::TraceRecorder& trace,
-                              const std::vector<Event>& events,
                               const std::vector<CounterSample>& counters) {
   std::map<std::string, std::int64_t> tids;
   std::vector<std::string> order;
@@ -147,39 +146,29 @@ std::string chrome_trace_json(const sim::TraceRecorder& trace,
     items.push_back({ts, w.str()});
   }
 
-  for (const auto& point : trace.points()) {
-    const std::int64_t tid = actor_tid(tids, order, point.actor);
-    const std::int64_t ts = point.at.as_micros();
+  const auto instant = [&](const char* cat, SimTime at,
+                           const std::string& actor, const std::string& label,
+                           const std::string& detail) {
+    const std::int64_t tid = actor_tid(tids, order, actor);
+    const std::int64_t ts = at.as_micros();
     JsonWriter w;
-    w.field("name", point.label)
-        .field("cat", "point")
+    w.field("name", label)
+        .field("cat", cat)
         .field("ph", "i")
         .field("s", "t")
         .field("ts", ts)
         .field("pid", 0)
         .field("tid", tid);
-    if (!point.detail.empty())
-      w.field_json("args",
-                   "{\"detail\": " + JsonWriter::quoted(point.detail) + "}");
+    if (!detail.empty())
+      w.field_json("args", "{\"detail\": " + JsonWriter::quoted(detail) + "}");
     items.push_back({ts, w.str()});
-  }
-
-  for (const auto& ev : events) {
-    const std::int64_t tid = actor_tid(tids, order, ev.actor);
-    const std::int64_t ts = ev.at.as_micros();
-    JsonWriter w;
-    w.field("name", ev.name)
-        .field("cat", "obs")
-        .field("ph", "i")
-        .field("s", "t")
-        .field("ts", ts)
-        .field("pid", 0)
-        .field("tid", tid)
-        .field_json("args", "{\"component\": " + JsonWriter::quoted(ev.component) +
-                                ", \"detail\": " + JsonWriter::quoted(ev.detail) +
-                                "}");
-    items.push_back({ts, w.str()});
-  }
+  };
+  for (const auto& point : trace.points())
+    instant("point", point.at, point.actor, point.label, point.detail);
+  // A span still open when the run stopped has a start but no end: it shows
+  // as an instant at its start, so what began is still on the timeline.
+  for (const auto& span : trace.open_spans())
+    instant("open_span", span.begin, span.actor, span.label, span.detail);
 
   // Counter tracks carry no tid: Chrome/Perfetto key "ph":"C" series by
   // (pid, name) and give each its own value track.

@@ -12,8 +12,8 @@
 // schedules no event, so golden traces, wire bytes, and bench JSON stay
 // bit-identical whether or not anyone ever reads the registry (pinned by
 // FaultRegression.* and the test_obs zero-perturbation test). Each touch
-// costs one ordered-map lookup; anything heavier — exporters, the event
-// bus — is pay-for-what-you-touch.
+// costs one ordered-map lookup; anything heavier — exporters, the trace
+// recorder — is pay-for-what-you-touch.
 //
 // MetricsRegistry::instance() returns the *current* registry. Tests and
 // report binaries that need isolation install a fresh one with

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::server {
@@ -11,9 +10,10 @@ namespace vcmr::server {
 namespace {
 
 /// Telemetry for one daemon wakeup: pass count, rows-touched counter and
-/// per-pass distribution, plus an event when the pass did real work.
-void note_daemon_pass(sim::Simulation& sim, const char* daemon,
-                      std::int64_t rows) {
+/// per-pass distribution, plus a "server" trace point when the pass did
+/// real work.
+void note_daemon_pass(sim::Simulation& sim, sim::TraceRecorder* trace,
+                      const char* daemon, std::int64_t rows) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.counter("daemon", "passes", {{"daemon", daemon}}).add();
   reg.counter("daemon", "rows_touched", {{"daemon", daemon}}).add(rows);
@@ -24,17 +24,18 @@ void note_daemon_pass(sim::Simulation& sim, const char* daemon,
                 {0, 1, 2, 4, 8, 16, 32, 64, 256, 1024, 4096},
                 {{"daemon", daemon}})
       .observe(static_cast<double>(rows));
-  if (rows > 0) {
-    obs::publish(sim.now(), "daemon", daemon, "server",
-                 "rows=" + std::to_string(rows));
+  if (trace && rows > 0) {
+    trace->point(sim.now(), "server", daemon, "rows=" + std::to_string(rows));
   }
 }
 
 }  // namespace
 
 Project::Project(sim::Simulation& sim, net::HttpService& http,
-                 NodeId server_node, ProjectConfig cfg)
+                 NodeId server_node, ProjectConfig cfg,
+                 sim::TraceRecorder* trace)
     : sim_(sim),
+      trace_(trace),
       node_(server_node),
       cfg_(cfg),
       rep_store_(db_, cfg_.reputation),
@@ -49,7 +50,8 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
       assimilator_(db_),
       jobtracker_(sim, db_, data_, cfg_),
       scheduler_(sim, db_, feeder_, jobtracker_, cfg_, http,
-                 net::Endpoint{server_node, kSchedulerPort}, &rep_policy_),
+                 net::Endpoint{server_node, kSchedulerPort}, &rep_policy_,
+                 trace),
       feeder_daemon_(sim, "feeder"),
       transitioner_daemon_(sim, "transitioner"),
       validator_daemon_(sim, "validator"),
@@ -65,7 +67,7 @@ Project::Project(sim::Simulation& sim, net::HttpService& http,
 
 void Project::start() {
   feeder_daemon_.start(cfg_.feeder_period, [this] {
-    note_daemon_pass(sim_, "feeder", feeder_.refill());
+    note_daemon_pass(sim_, trace_, "feeder", feeder_.refill());
   });
   transitioner_daemon_.start(cfg_.transitioner_period, [this] {
     const auto& s = transitioner_.stats();
@@ -74,7 +76,7 @@ void Project::start() {
     transitioner_.pass(sim_.now());
     const std::int64_t after = s.results_created + s.results_timed_out +
                                s.results_aborted + s.wus_errored;
-    note_daemon_pass(sim_, "transitioner", after - before);
+    note_daemon_pass(sim_, trace_, "transitioner", after - before);
   });
   validator_daemon_.start(cfg_.validator_period, [this] {
     const auto& s = validator_.stats();
@@ -83,19 +85,19 @@ void Project::start() {
     validator_.pass(sim_.now());
     const std::int64_t after = s.results_valid + s.results_invalid +
                                s.inconclusive_checks;
-    note_daemon_pass(sim_, "validator", after - before);
+    note_daemon_pass(sim_, trace_, "validator", after - before);
   });
   assimilator_daemon_.start(cfg_.assimilator_period, [this] {
     const std::int64_t before = assimilator_.assimilated();
     assimilator_.pass();
-    note_daemon_pass(sim_, "assimilator",
+    note_daemon_pass(sim_, trace_, "assimilator",
                      assimilator_.assimilated() - before);
   });
   if (snapshots_enabled_) {
     take_snapshot();  // a restore point exists from the first instant
     snapshot_daemon_.start(cfg_.snapshot_period, [this] {
       take_snapshot();
-      note_daemon_pass(sim_, "snapshot", 1);
+      note_daemon_pass(sim_, trace_, "snapshot", 1);
     });
   }
 }
@@ -118,8 +120,10 @@ void Project::crash_server() {
   crashed_ = true;
   stop();
   scheduler_.crash();
-  obs::publish(sim_.now(), "project", "server_crash", "server",
-               "daemons down, scheduler 503");
+  if (trace_) {
+    trace_->point(sim_.now(), "server", "server_crash",
+                  "daemons down, scheduler 503");
+  }
 }
 
 void Project::restore_server() {
@@ -133,8 +137,10 @@ void Project::restore_server() {
   crashed_ = false;
   scheduler_.restore();
   start();  // daemons resume on their cadences, snapshots included
-  obs::publish(sim_.now(), "project", "server_restore", "server",
-               "DB snapshot restored, daemons restarted");
+  if (trace_) {
+    trace_->point(sim_.now(), "server", "server_restore",
+                  "DB snapshot restored, daemons restarted");
+  }
 }
 
 }  // namespace vcmr::server

@@ -22,6 +22,7 @@
 #include "server/transitioner.h"
 #include "server/validator.h"
 #include "sim/simulation.h"
+#include "sim/trace.h"
 
 namespace vcmr::server {
 
@@ -30,8 +31,10 @@ class Project {
   static constexpr int kDataPort = 80;
   static constexpr int kSchedulerPort = 8080;
 
+  /// `trace` (optional) receives the server's points — daemon passes that
+  /// touched rows, crash/restore — and is handed on to the scheduler.
   Project(sim::Simulation& sim, net::HttpService& http, NodeId server_node,
-          ProjectConfig cfg = {});
+          ProjectConfig cfg = {}, sim::TraceRecorder* trace = nullptr);
 
   /// Starts the daemons. Call once, before running the simulation.
   void start();
@@ -84,6 +87,7 @@ class Project {
 
  private:
   sim::Simulation& sim_;
+  sim::TraceRecorder* trace_;
   NodeId node_;
   ProjectConfig cfg_;
   db::Database db_;

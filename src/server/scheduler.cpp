@@ -5,7 +5,6 @@
 #include "common/bloom.h"
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::server {
@@ -21,7 +20,8 @@ obs::Counter& sched_counter(const char* name) {
 Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
                      JobTracker& jobtracker, const ProjectConfig& cfg,
                      net::HttpService& http, net::Endpoint ep,
-                     rep::AdaptiveReplicationPolicy* policy)
+                     rep::AdaptiveReplicationPolicy* policy,
+                     sim::TraceRecorder* trace)
     : sim_(sim),
       db_(db),
       feeder_(feeder),
@@ -29,7 +29,8 @@ Scheduler::Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
       cfg_(cfg),
       http_(http),
       ep_(ep),
-      policy_(policy) {
+      policy_(policy),
+      trace_(trace) {
   http_.listen(ep_, [this](const net::HttpRequest& req,
                            net::HttpRespondFn respond) {
     if (down_) {
@@ -249,7 +250,6 @@ void Scheduler::reconcile_known_results(
     r.outcome = db::Outcome::kLost;
     ++stats_.results_lost;
     sched_counter("results_lost").add();
-    obs::publish(sim_.now(), "scheduler", "resend_lost", "scheduler", r.name);
     if (policy_) policy_->store().record_error(host);
     db_.flag_transition(r.wu);
     if (trace_) trace_->point(sim_.now(), "scheduler", "resend_lost", r.name);
@@ -267,9 +267,6 @@ void Scheduler::handle_fetch_failure(HostId reporter,
   if (action == JobTracker::FetchFailureAction::kInvalidated) {
     ++stats_.maps_invalidated;
     sched_counter("maps_invalidated").add();
-    obs::publish(sim_.now(), "scheduler", "map_invalidated", "scheduler",
-                 "job" + std::to_string(ff.job_id) + "/map" +
-                     std::to_string(ff.map_index));
     if (trace_) {
       trace_->point(sim_.now(), "scheduler", "map_invalidated",
                     "job" + std::to_string(ff.job_id) + "/map" +

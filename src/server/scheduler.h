@@ -57,11 +57,14 @@ class Scheduler {
  public:
   /// `policy` (optional) drives adaptive replication: single-replica work
   /// prefers trusted hosts, and each first assignment decides whether the
-  /// work unit stays single or escalates to the full quorum.
+  /// work unit stays single or escalates to the full quorum. `trace`
+  /// (optional) receives the scheduler's points: lost-result resends,
+  /// invalidated maps, and trust decisions.
   Scheduler(sim::Simulation& sim, db::Database& db, Feeder& feeder,
             JobTracker& jobtracker, const ProjectConfig& cfg,
             net::HttpService& http, net::Endpoint ep,
-            rep::AdaptiveReplicationPolicy* policy = nullptr);
+            rep::AdaptiveReplicationPolicy* policy = nullptr,
+            sim::TraceRecorder* trace = nullptr);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -69,9 +72,6 @@ class Scheduler {
 
   net::Endpoint endpoint() const { return ep_; }
   const SchedulerStats& stats() const { return stats_; }
-
-  /// Optional trace sink; trust decisions are emitted as scheduler points.
-  void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
 
   /// Server crash-fault: while down the endpoint answers every RPC with 503
   /// (clients back off and retry as for any failed RPC), and the CGI's soft
@@ -119,7 +119,7 @@ class Scheduler {
   net::HttpService& http_;
   net::Endpoint ep_;
   rep::AdaptiveReplicationPolicy* policy_;
-  sim::TraceRecorder* trace_ = nullptr;
+  sim::TraceRecorder* trace_;
   SchedulerStats stats_;
   bool down_ = false;
   std::map<ResultId, int> locality_skips_;  ///< delay-scheduling counters

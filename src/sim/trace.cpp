@@ -45,6 +45,13 @@ std::vector<TraceSpan> TraceRecorder::spans() const {
   return out;
 }
 
+std::vector<TraceSpan> TraceRecorder::open_spans() const {
+  std::vector<TraceSpan> out;
+  for (const auto& s : spans_)
+    if (!s.closed) out.push_back(s.span);
+  return out;
+}
+
 std::vector<TracePoint> TraceRecorder::points_for(const std::string& actor) const {
   std::vector<TracePoint> out;
   for (const auto& p : points_)

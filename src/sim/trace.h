@@ -44,6 +44,9 @@ class TraceRecorder {
   const std::vector<TracePoint>& points() const { return points_; }
   /// Closed spans only; spans never closed are dropped from this view.
   std::vector<TraceSpan> spans() const;
+  /// Spans begun but not (yet) closed, with end == begin — e.g. a backoff
+  /// still running when the simulation stopped.
+  std::vector<TraceSpan> open_spans() const;
 
   std::vector<TracePoint> points_for(const std::string& actor) const;
   std::vector<TraceSpan> spans_for(const std::string& actor) const;

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "obs/event.h"
 #include "obs/metrics.h"
 
 namespace vcmr::wf {
@@ -101,8 +100,8 @@ void WorkflowCoordinator::submit_node(int node) {
   const std::vector<int>& ups = graph_.upstream()[i];
   if (!ups.empty()) {
     // Input = the merged canonical reduce outputs of every upstream.
-    // All-materialised upstreams chain real text (the run_chain contract:
-    // merged, key-sorted, line-serialized); otherwise the node runs
+    // All-materialised upstreams chain real text (merged, key-sorted,
+    // line-serialized); otherwise the node runs
     // modelled on the summed upstream output bytes.
     bool all_mat = true;
     for (const int up : ups) {
@@ -152,8 +151,6 @@ void WorkflowCoordinator::submit_iteration(int node,
     span_[i] = trace_->begin_span(sim_.now(), "workflow", out.name,
                                   "iter" + std::to_string(iter));
   }
-  obs::publish(sim_.now(), "wf", "node_submitted", "workflow",
-               out.name + " iter" + std::to_string(iter));
   log_.info("node ", out.name, " iteration ", iter, " submitted as job ",
             job.value(), " at t=", sim_.now().str());
 }
@@ -190,9 +187,11 @@ void WorkflowCoordinator::on_job_finished(MrJobId job) {
         materialised_[i] != 0) {
       const double delta = max_delta(prev_output_[i], out.output);
       out.converged = delta < iterate.threshold;
-      obs::publish(now, "wf", "node_iteration", "workflow",
-                   out.name + " iter" + std::to_string(out.iterations - 1) +
-                       " delta=" + std::to_string(delta));
+      if (trace_ != nullptr) {
+        trace_->point(now, "workflow", "node_iteration",
+                      out.name + " iter" + std::to_string(out.iterations - 1) +
+                          " delta=" + std::to_string(delta));
+      }
     }
     if (!out.converged) {
       server::MrJobSpec next = graph_.nodes()[i].job;
@@ -238,7 +237,6 @@ void WorkflowCoordinator::finish_node(int node, SimTime now) {
       .set(static_cast<double>(backoffs));
   reg.gauge("wf", "node_iterations", label)
       .set(static_cast<double>(out.iterations));
-  obs::publish(now, "wf", "node_finished", "workflow", out.name);
   log_.info("node ", out.name, " done after ", out.iterations,
             " iteration(s) at t=", now.str());
 
@@ -265,10 +263,12 @@ void WorkflowCoordinator::fail_node(int node, SimTime now,
   NodeOutcome& out = outcomes_[i];
   out.state = state;
   out.finished_at = now;
-  obs::publish(now, "wf",
-               state == NodeOutcome::State::kFailed ? "node_failed"
-                                                    : "node_skipped",
-               "workflow", out.name);
+  if (trace_ != nullptr) {
+    trace_->point(now, "workflow",
+                  state == NodeOutcome::State::kFailed ? "node_failed"
+                                                       : "node_skipped",
+                  out.name);
+  }
   if (state == NodeOutcome::State::kFailed) {
     log_.info("node ", out.name, " FAILED at t=", now.str());
   }
@@ -276,9 +276,6 @@ void WorkflowCoordinator::fail_node(int node, SimTime now,
   for (const int d : graph_.downstream()[i]) {
     NodeOutcome& dn = outcomes_[static_cast<std::size_t>(d)];
     if (dn.state == NodeOutcome::State::kWaiting) {
-      if (trace_ != nullptr) {
-        trace_->point(now, "workflow", "skipped", dn.name);
-      }
       fail_node(d, now, NodeOutcome::State::kSkipped);
     }
   }

@@ -12,10 +12,10 @@
 // per-key delta below the threshold) holds or max_iterations runs out.
 //
 // Telemetry: per-node makespan / dispatch-wait / backoff / iteration
-// roll-up gauges in vcmr::obs (component "wf"), "wf" events on the bus, and
-// — when a TraceRecorder is attached — one stage span per iteration on a
-// "workflow" track, so --trace-out renders the DAG schedule above the
-// per-host timelines.
+// roll-up gauges in vcmr::obs (component "wf") and — when a TraceRecorder
+// is attached — one stage span per iteration plus node_iteration /
+// node_failed / node_skipped points on a "workflow" track, so --trace-out
+// renders the DAG schedule above the per-host timelines.
 
 #include <cstddef>
 #include <map>

@@ -1,13 +1,14 @@
-// Tests for scenario XML parsing/serialization and the workflow chain.
+// Tests for scenario XML parsing/serialization and linear workflow chains.
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "core/scenario_io.h"
-#include "core/workflow.h"
+#include "core/cluster.h"
 #include "mr/apps.h"
 #include "mr/dataset.h"
 #include "mr/local_runtime.h"
+#include "workflow/workflow.h"
 
 namespace vcmr::core {
 namespace {
@@ -201,6 +202,29 @@ TEST(ScenarioIo, ParsedScenarioRuns) {
   EXPECT_TRUE(cluster.run_job().metrics.completed);
 }
 
+struct Stage {
+  std::string app;
+  int n_maps;
+  int n_reducers;
+};
+
+/// A linear workflow over `stages`; stage 0 reads `input`, stage k+1 reads
+/// stage k's merged output.
+wf::WorkflowGraph chain(const std::string& input,
+                        const std::vector<Stage>& stages) {
+  std::vector<server::MrJobSpec> specs;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    server::MrJobSpec spec;
+    spec.name = "wf_stage" + std::to_string(k);
+    spec.app = stages[k].app;
+    spec.n_maps = stages[k].n_maps;
+    spec.n_reducers = stages[k].n_reducers;
+    if (k == 0) spec.input_text = input;
+    specs.push_back(std::move(spec));
+  }
+  return wf::linear_workflow(std::move(specs));
+}
+
 TEST(Workflow, ChainMatchesLocalOracle) {
   common::RngStreamFactory f(123);
   common::Rng rng = f.stream("corpus");
@@ -214,17 +238,18 @@ TEST(Workflow, ChainMatchesLocalOracle) {
   s.boinc_mr = true;
   s.input_text = corpus;
   Cluster cluster(s);
-  const ChainResult chain = run_chain(
-      cluster, "wf", corpus, {{"word_count", 4, 2}, {"count_range", 2, 2}});
-  ASSERT_TRUE(chain.completed);
-  ASSERT_EQ(chain.stages.size(), 2u);
+  const WorkflowRunResult res = cluster.run_workflow(
+      chain(corpus, {{"word_count", 4, 2}, {"count_range", 2, 2}}));
+  ASSERT_TRUE(res.completed);
+  ASSERT_EQ(res.nodes.size(), 2u);
+  for (const wf::NodeOutcome& node : res.nodes) ASSERT_EQ(node.runs.size(), 1u);
 
   mr::register_builtin_apps();
   const auto* wc = mr::AppRegistry::instance().find("word_count");
   const auto* cr = mr::AppRegistry::instance().find("count_range");
   const auto s1 = mr::run_local(*wc, corpus, {4, 2, 2, true});
   const auto s2 = mr::run_local(*cr, mr::serialize_kvs(s1.output), {2, 2, 2, true});
-  EXPECT_EQ(chain.final_output, s2.output);
+  EXPECT_EQ(res.final_output, s2.output);
 }
 
 // gcc 12 -O2 flags the optional<string> payload as maybe-uninitialized when
@@ -243,9 +268,9 @@ TEST(Workflow, FailedStageStopsChain) {
   s.boinc_mr = true;
   s.input_text = tiny;
   Cluster cluster(s);
-  // Unknown app in stage 2: submit throws inside run_chain's second stage.
-  EXPECT_THROW(run_chain(cluster, "wf", "tiny input",
-                         {{"word_count", 2, 1}, {"no_such_app", 2, 1}}),
+  // Unknown app in stage 2: the workflow graph rejects it up front.
+  EXPECT_THROW(cluster.run_workflow(chain(
+                   "tiny input", {{"word_count", 2, 1}, {"no_such_app", 2, 1}})),
                Error);
 }
 #if defined(__GNUC__) && !defined(__clang__)

@@ -1,5 +1,5 @@
 // Tests for the vcmr::obs telemetry subsystem: the shared JSON writer, the
-// metrics registry, the event bus, both exporters, and the end-to-end
+// metrics registry, both exporters, and the end-to-end
 // guarantees the subsystem makes — per-host backoff accounting that exposes
 // the Fig. 4 straggler, and zero perturbation of simulation outcomes when
 // telemetry is merely collected.
@@ -21,7 +21,6 @@
 #include "common/json.h"
 #include "core/cluster.h"
 #include "json_checker.h"
-#include "obs/event.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/trace.h"
@@ -30,7 +29,6 @@ namespace vcmr {
 namespace {
 
 using common::JsonWriter;
-using obs::EventLog;
 using obs::MetricsRegistry;
 using obs::ScopedMetricsRegistry;
 
@@ -242,8 +240,6 @@ TEST(Metrics, MergeFromRejectsMismatchedHistogramBounds) {
   EXPECT_THROW(a.merge_from(b), Error);
 }
 
-// --- EventBus --------------------------------------------------------------
-
 TEST(Metrics, PeakRssCoversCurrentResidentSet) {
   // The peak is this process image's own high-water mark (VmHWM), so it
   // can never be below the resident set right now, here after touching a
@@ -259,70 +255,6 @@ TEST(Metrics, PeakRssCoversCurrentResidentSet) {
   ASSERT_GT(rss_kib, 0);
   EXPECT_GE(obs::peak_rss_bytes(), rss_kib * 1024);
   EXPECT_GE(obs::peak_rss_bytes(), static_cast<std::int64_t>(ballast.size()));
-}
-
-TEST(Events, InactiveBusIsSilentAndCheap) {
-  EXPECT_FALSE(obs::EventBus::instance().active());
-  // No subscriber: the helper early-outs; nothing observable happens.
-  obs::publish(SimTime::seconds(1), "c", "n", "a");
-}
-
-TEST(Events, EventLogBuffersPublishedEvents) {
-  EventLog log;
-  EXPECT_TRUE(obs::EventBus::instance().active());
-  obs::publish(SimTime::seconds(1), "scheduler", "resend_lost", "scheduler",
-               "wu0_r1");
-  obs::publish(SimTime::seconds(2), "client", "backoff", "host3");
-  ASSERT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.events()[0].name, "resend_lost");
-  EXPECT_EQ(log.events()[1].actor, "host3");
-  EXPECT_EQ(log.events()[1].detail, "");
-}
-
-TEST(Events, SubscriptionEndsWithScope) {
-  {
-    EventLog log;
-    EXPECT_TRUE(obs::EventBus::instance().active());
-  }
-  EXPECT_FALSE(obs::EventBus::instance().active());
-}
-
-TEST(Events, MultipleSubscribersEachReceive) {
-  EventLog a;
-  EventLog b;
-  obs::publish(SimTime::zero(), "c", "n", "x");
-  EXPECT_EQ(a.events().size(), 1u);
-  EXPECT_EQ(b.events().size(), 1u);
-}
-
-// Regression for the unsynchronized-singleton race: instance() is now one
-// bus per thread, so a subscription on this thread neither receives events
-// published by a worker thread nor perturbs the worker's own bus — the
-// exact shape of a SeedPool sweep running under a main-thread EventLog.
-TEST(Events, BusIsThreadLocal) {
-  EventLog main_log;
-  obs::EventBus* main_bus = &obs::EventBus::instance();
-  obs::EventBus* worker_bus = nullptr;
-  bool worker_bus_active = true;
-  std::size_t worker_log_events = 0;
-  std::thread([&] {
-    worker_bus = &obs::EventBus::instance();
-    worker_bus_active = obs::EventBus::instance().active();
-    // Worker publishes with no subscriber of its own: silent, and
-    // invisible to the main thread's log.
-    obs::publish(SimTime::seconds(1), "worker", "ev", "w");
-    // A worker-side subscription sees only worker-side events.
-    EventLog worker_log;
-    obs::publish(SimTime::seconds(2), "worker", "ev2", "w");
-    worker_log_events = worker_log.events().size();
-  }).join();
-  EXPECT_NE(worker_bus, main_bus);
-  EXPECT_FALSE(worker_bus_active);  // main-thread EventLog doesn't leak in
-  EXPECT_EQ(worker_log_events, 1u);
-  EXPECT_EQ(main_log.events().size(), 0u);
-  // The main-thread bus still works after the worker exits.
-  obs::publish(SimTime::seconds(3), "main", "ev3", "m");
-  EXPECT_EQ(main_log.events().size(), 1u);
 }
 
 // --- exporters -------------------------------------------------------------
@@ -413,18 +345,15 @@ TEST(Export, HistogramPercentileFormatPin) {
       << json;
 }
 
-TEST(Export, ChromeTraceRendersSpansPointsAndEvents) {
+TEST(Export, ChromeTraceRendersSpansAndPoints) {
   sim::TraceRecorder tr;
   const std::size_t tok =
       tr.begin_span(SimTime::seconds(1), "host1", "compute", "r0");
   tr.end_span(tok, SimTime::seconds(3));
   tr.point(SimTime::seconds(2), "host2", "report");
+  tr.point(SimTime::seconds(4), "scheduler", "resend_lost", "wu0_r1");
 
-  std::vector<obs::Event> events;
-  events.push_back({SimTime::seconds(4), "scheduler", "resend_lost",
-                    "scheduler", "wu0_r1"});
-
-  const std::string json = obs::chrome_trace_json(tr, events);
+  const std::string json = obs::chrome_trace_json(tr);
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   // Complete span: ph X with micro ts/dur.
@@ -433,19 +362,31 @@ TEST(Export, ChromeTraceRendersSpansPointsAndEvents) {
   // Instants carry the scope flag chrome://tracing requires.
   EXPECT_NE(json.find("\"ph\": \"i\", \"s\": \"t\""), std::string::npos);
   // Per-actor thread naming, first-seen order: host1=0, host2=1, then the
-  // event-only actor "scheduler" gets the next tid.
+  // point-only actor "scheduler" gets the next tid.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("{\"name\": \"host1\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"tid\": 2, \"args\": {\"name\": \"scheduler\"}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"name\": \"resend_lost\""), std::string::npos);
-  EXPECT_NE(json.find("\"component\": \"scheduler\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\": {\"detail\": \"wu0_r1\"}"),
+            std::string::npos);
 }
 
-TEST(Export, ChromeTraceDropsUnclosedSpans) {
+TEST(Export, ChromeTraceRendersUnclosedSpansAsInstants) {
   sim::TraceRecorder tr;
-  tr.begin_span(SimTime::seconds(1), "host1", "compute");  // never closed
+  tr.begin_span(SimTime::seconds(1), "host1", "backoff",
+                "empty_reply 90.000");  // never closed
   const std::string json = obs::chrome_trace_json(tr);
   EXPECT_TRUE(JsonChecker(json).valid());
+  // No complete event without an end; the start stays on the timeline.
   EXPECT_EQ(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\": \"backoff\", \"cat\": \"open_span\", "
+                      "\"ph\": \"i\", \"s\": \"t\", \"ts\": 1000000, "
+                      "\"pid\": 0, \"tid\": 0, "
+                      "\"args\": {\"detail\": \"empty_reply 90.000\"}}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Export, ChromeTraceEventsSortedByTimestamp) {
@@ -475,7 +416,6 @@ core::Scenario fig4_scenario(std::uint64_t seed = 3) {
 
 TEST(ObsIntegration, Fig4StragglerDominatesBackoffHistogram) {
   ScopedMetricsRegistry scope;
-  EventLog log;
   // Seed 36 is a stark instance of the pathology: the straggler's report is
   // held back ~236 s by a single backoff draw, roughly double the worst
   // report delay of any other host.
@@ -512,17 +452,24 @@ TEST(ObsIntegration, Fig4StragglerDominatesBackoffHistogram) {
 
   // The telemetry exposes the cause, not just the symptom: the straggler's
   // result sat finished while a backoff drawn *before* the upload completed
-  // kept the client away from the scheduler.  Backoff events carry
-  // "<why> <seconds>" details, so we can find the draw whose window
-  // [t, t + delay] covers the whole upload→report gap.
+  // kept the client away from the scheduler.  Every draw is on the trace —
+  // a "backoff" span after an empty reply, a "backoff" point after a failed
+  // RPC — with a "<why> <seconds>" detail, so we can find the draw whose
+  // window [t, t + delay] covers the whole upload→report gap.
+  std::vector<std::pair<SimTime, std::string>> draws;  // (drawn at, detail)
+  for (const auto& sp : cluster.trace().spans_for(straggler)) {
+    if (sp.label == "backoff") draws.emplace_back(sp.begin, sp.detail);
+  }
+  for (const auto& p : cluster.trace().points_for(straggler)) {
+    if (p.label == "backoff") draws.emplace_back(p.at, p.detail);
+  }
+  ASSERT_FALSE(draws.empty());
   double covering_draw = 0;
-  for (const auto& ev : log.events()) {
-    if (ev.component != "client" || ev.name != "backoff") continue;
-    if (ev.actor != straggler) continue;
-    const std::size_t sp = ev.detail.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << ev.detail;
-    const double t = ev.at.as_seconds();
-    const double d = std::stod(ev.detail.substr(sp + 1));
+  for (const auto& [at, detail] : draws) {
+    const std::size_t sp = detail.rfind(' ');
+    ASSERT_NE(sp, std::string::npos) << detail;
+    const double t = at.as_seconds();
+    const double d = std::stod(detail.substr(sp + 1));
     if (t <= straggler_upload && t + d >= straggler_report - 0.5) {
       covering_draw = std::max(covering_draw, d);
     }
@@ -577,15 +524,16 @@ TEST(ObsIntegration, CollectingTelemetryDoesNotPerturbTheRun) {
     base_rpcs = out.scheduler_rpcs;
   }
   {
-    // Same scenario with an event subscriber attached: identical outcome.
+    // Same scenario with the trace recorded: identical outcome.
     ScopedMetricsRegistry scope;
-    EventLog log;
+    s.record_trace = true;
     core::Cluster cluster(s);
     const core::RunOutcome out = cluster.run_job();
     EXPECT_EQ(out.metrics.total_seconds, base_total);
     EXPECT_EQ(out.server_bytes_sent, base_sent);
     EXPECT_EQ(out.scheduler_rpcs, base_rpcs);
-    EXPECT_FALSE(log.events().empty());
+    EXPECT_FALSE(cluster.trace().points().empty());
+    EXPECT_FALSE(cluster.trace().spans().empty());
   }
 }
 

@@ -301,6 +301,14 @@ TEST(Trace, UnclosedSpansDropped) {
   TraceRecorder tr;
   tr.begin_span(SimTime::seconds(1), "a", "x");
   EXPECT_TRUE(tr.spans().empty());
+  // ...from the closed view only: open_spans() still lists it.
+  const auto open = tr.open_spans();
+  ASSERT_EQ(open.size(), 1u);
+  EXPECT_EQ(open[0].begin, SimTime::seconds(1));
+  EXPECT_EQ(open[0].label, "x");
+  const std::size_t tok = tr.begin_span(SimTime::seconds(2), "a", "y");
+  tr.end_span(tok, SimTime::seconds(3));
+  EXPECT_EQ(tr.open_spans().size(), 1u);
 }
 
 TEST(Trace, EndBeforeBeginThrows) {

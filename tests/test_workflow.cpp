@@ -21,7 +21,6 @@
 #include "mr/dataset.h"
 #include "mr/keyvalue.h"
 #include "mr/local_runtime.h"
-#include "obs/event.h"
 #include "workflow/coordinator.h"
 #include "workflow/workflow.h"
 
@@ -403,10 +402,10 @@ core::Scenario load_scenario_file(const std::string& name) {
 }
 
 TEST(ScenarioFiles, DiamondDagRunsWithEventDrivenOrdering) {
-  const core::Scenario s = load_scenario_file("workflow_dag.xml");
+  core::Scenario s = load_scenario_file("workflow_dag.xml");
   ASSERT_EQ(s.workflow.size(), 4u);
+  s.record_trace = true;
 
-  obs::EventLog log;
   core::Cluster cluster(s);
   const core::WorkflowRunResult r = cluster.run_workflow();
   ASSERT_TRUE(r.completed);
@@ -432,22 +431,23 @@ TEST(ScenarioFiles, DiamondDagRunsWithEventDrivenOrdering) {
       join.submitted_at.as_seconds(),
       std::max(ranges.finished_at, lengths.finished_at).as_seconds());
 
-  // The obs bus saw the same story in order: both middle nodes finish
-  // before the join is submitted.
-  const auto pos = [&](const std::string& name, const std::string& prefix) {
-    const auto& evs = log.events();
-    for (std::size_t i = 0; i < evs.size(); ++i) {
-      if (evs[i].component == "wf" && evs[i].name == name &&
-          evs[i].detail.rfind(prefix, 0) == 0) {
-        return i;
-      }
+  // The workflow track tells the same story in order: the join's span is
+  // opened after both middle spans, and no earlier than either closes.
+  const std::vector<sim::TraceSpan> spans =
+      cluster.trace().spans_for("workflow");
+  const auto pos = [&](const std::string& node) {
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].label == node) return i;
     }
-    return evs.size();
+    return spans.size();
   };
-  const std::size_t join_submit = pos("node_submitted", "join");
-  ASSERT_LT(join_submit, log.events().size());
-  EXPECT_LT(pos("node_finished", "ranges"), join_submit);
-  EXPECT_LT(pos("node_finished", "lengths"), join_submit);
+  const std::size_t join_submit = pos("join");
+  ASSERT_LT(join_submit, spans.size());
+  for (const char* middle : {"ranges", "lengths"}) {
+    const std::size_t i = pos(middle);
+    ASSERT_LT(i, join_submit) << middle;
+    EXPECT_GE(spans[join_submit].begin, spans[i].end) << middle;
+  }
 
   // The join's input is the merged, key-sorted output of both branches.
   std::vector<mr::KeyValue> merged = ranges.output;

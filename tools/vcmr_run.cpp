@@ -33,7 +33,6 @@
 #include "core/scenario_io.h"
 #include "db/database.h"
 #include "db/schema.h"
-#include "obs/event.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stream.h"
@@ -341,11 +340,6 @@ int main(int argc, char** argv) {
                 s.boinc_mr ? "BOINC-MR" : "plain BOINC",
                 static_cast<unsigned long long>(s.seed));
 
-    // Subscribe before the cluster exists so arming-time events (e.g. the
-    // fault plan validating) are not missed.
-    std::unique_ptr<obs::EventLog> event_log;
-    if (!trace_path.empty()) event_log = std::make_unique<obs::EventLog>();
-
     core::Cluster cluster(s);
 
     std::unique_ptr<obs::MetricsStreamer> streamer;
@@ -409,7 +403,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       write_file(trace_path,
                  obs::chrome_trace_json(
-                     cluster.trace(), event_log->events(),
+                     cluster.trace(),
                      streamer ? streamer->counter_samples()
                               : std::vector<obs::CounterSample>{}) +
                      "\n");
